@@ -250,7 +250,7 @@ double null_obs_overhead() {
 }
 
 /// Fraction of the sweep's scenarios the ternary prefilter resolved without
-/// a DPLL solve (docs/static-analysis.md), read off the metrics counters of
+/// a CDCL solve (docs/static-analysis.md), read off the metrics counters of
 /// one instrumented sweep.
 double static_resolution_fraction() {
     obs::MetricsRegistry metrics;
@@ -307,7 +307,7 @@ FrontierNumbers frontier_numbers(int n) {
     return numbers;
 }
 
-// --- CDCL vs DPLL engines on a search-heavy sweep ------------------------
+// --- warm CDCL pool on a search-heavy sweep ------------------------------
 
 /// Behaviour fragment that defeats the static prefilter and forces real
 /// stable-model search per scenario. Three ingredients:
@@ -315,15 +315,15 @@ FrontierNumbers frontier_numbers(int n) {
 ///  - `{ jam }.` — a free choice the ternary analysis cannot decide, so the
 ///    prefilter leaves every scenario to the solver (static_fraction < 1);
 ///  - positive loops ping(N)/pong(N) whose only external support is `jam`:
-///    when jam is false the loops are supported-but-unfounded, so the DPLL
-///    engine enumerates and stability-rejects the candidates on every
-///    scenario, while the warm CDCL solver keeps the loop cuts (entailed by
-///    the base program) across the whole sweep;
+///    when jam is false the loops are supported-but-unfounded, so a cold
+///    search stability-rejects the candidates on every scenario, while the
+///    warm CDCL solver keeps the loop cuts (entailed by the base program)
+///    across the whole sweep;
 ///  - a pigeonhole contradiction gated on `jam` (7 pigeons, 6 holes, places
 ///    forced empty when jam is off): refuting the jam branch takes real
-///    search, which the chronological DPLL engine repeats on all 48
-///    scenarios while the CDCL pool's learned lemmas — entailed by the base
-///    program, so kept across solves — reduce it to propagation;
+///    search, which the CDCL pool's learned lemmas — entailed by the base
+///    program, so kept across solves — reduce to propagation on the later
+///    scenarios;
 ///  - `boom` depends on both the injected faults and the choice, so the
 ///    verdict genuinely needs the solver: the surviving jam-false answer
 ///    set violates the requirement exactly when a fault is injected.
@@ -345,19 +345,19 @@ boom :- injected_fault(C, _), not jam.
 )";
 
 struct CdclNumbers {
-    double dpll_s = 0.0;        ///< steady-state sweep wall-clock, DPLL engine
-    double cdcl_s = 0.0;        ///< same sweep, warm CDCL pool
+    double cdcl_s = 0.0;        ///< steady-state sweep wall-clock, warm CDCL pool
     std::size_t learned = 0;    ///< clauses learned across one cold CDCL sweep
     std::size_t reused = 0;     ///< propagations from clauses learned by earlier scenarios
     double static_fraction = 0.0;  ///< prefilter share on this workload (< 1 by design)
-    bool verdicts_match = false;   ///< both engines agreed on all 48 verdicts
+    bool verdicts_match = false;   ///< warm pool == full reground on all 48 verdicts
 };
 
-/// The cdcl block of BENCH_epa.json (docs/solver.md): the same 48-scenario
-/// ground-once sweep under both engines, on a workload the static prefilter
-/// cannot resolve. The CDCL arm leases warm solvers from the cache's pool,
-/// so clauses learned by early scenarios propagate for the remaining ones —
-/// `reused` counts exactly those propagations.
+/// The cdcl block of BENCH_epa.json (docs/solver.md): a 48-scenario
+/// ground-once sweep on a workload the static prefilter cannot resolve. The
+/// sweep leases warm solvers from the cache's pool, so clauses learned by
+/// early scenarios propagate for the remaining ones — `reused` counts
+/// exactly those propagations. Its verdicts are checked against the
+/// full-reground path, which grounds and solves every scenario cold.
 CdclNumbers cdcl_numbers() {
     const int n = 8;
     auto m = chain_model(n);
@@ -367,27 +367,26 @@ CdclNumbers cdcl_numbers() {
         epa::Requirement::never("rb", "the jammable loop bank must not report boom",
                                 asp::parse_atom("boom").value())};
 
-    const auto make_analysis = [&](asp::SolverEngine engine, RunContext* ctx) {
+    const auto make_analysis = [&](bool ground_once, RunContext* ctx) {
         epa::EpaOptions options;
         options.focus = epa::AnalysisFocus::Behavioral;
         options.horizon = 3;
-        options.ground_once = true;
-        options.solver = engine;
+        options.ground_once = ground_once;
         options.ctx = ctx;
         return epa::ErrorPropagationAnalysis::create(m, requirements, {}, options);
     };
 
     CdclNumbers numbers;
 
-    // Stats + agreement from one cold instrumented sweep per engine: the
-    // first scenarios learn, the remaining ones reuse, so a single sweep
-    // already shows cross-scenario reuse.
+    // Stats from one instrumented sweep on a fresh pool: the first
+    // scenarios learn, the remaining ones reuse, so a single sweep already
+    // shows cross-scenario reuse.
     std::vector<epa::ScenarioVerdict> cdcl_verdicts;
     {
         obs::MetricsRegistry metrics;
         RunContext ctx;
         ctx.metrics = &metrics;
-        auto analysis = make_analysis(asp::SolverEngine::Cdcl, &ctx);
+        auto analysis = make_analysis(true, &ctx);
         auto verdicts = analysis.value().evaluate_all(space, {});
         if (!verdicts.ok()) {
             std::fprintf(stderr, "bench_perf_epa: cdcl sweep failed: %s\n",
@@ -408,10 +407,10 @@ CdclNumbers cdcl_numbers() {
         numbers.static_fraction = total > 0.0 ? resolved / total : 0.0;
     }
     {
-        auto analysis = make_analysis(asp::SolverEngine::Dpll, nullptr);
+        auto analysis = make_analysis(false, nullptr);
         auto verdicts = analysis.value().evaluate_all(space, {});
         if (!verdicts.ok()) {
-            std::fprintf(stderr, "bench_perf_epa: dpll sweep failed: %s\n",
+            std::fprintf(stderr, "bench_perf_epa: reground sweep failed: %s\n",
                          verdicts.error().c_str());
             return numbers;
         }
@@ -427,20 +426,14 @@ CdclNumbers cdcl_numbers() {
     // Steady-state wall-clock: one warm-up sweep, then best of three. The
     // warm-up also charges the CDCL pool, so the timed rounds measure the
     // persistent-solver regime the daemon and exhaustive sweeps run in.
-    for (const asp::SolverEngine engine :
-         {asp::SolverEngine::Dpll, asp::SolverEngine::Cdcl}) {
-        auto analysis = make_analysis(engine, nullptr);
-        (void)analysis.value().evaluate_all(space, {});
-        double best = 0.0;
-        for (int round = 0; round < 3; ++round) {
-            const auto start = std::chrono::steady_clock::now();
-            auto verdicts = analysis.value().evaluate_all(space, {});
-            benchmark::DoNotOptimize(verdicts);
-            const std::chrono::duration<double> elapsed =
-                std::chrono::steady_clock::now() - start;
-            if (round == 0 || elapsed.count() < best) best = elapsed.count();
-        }
-        (engine == asp::SolverEngine::Dpll ? numbers.dpll_s : numbers.cdcl_s) = best;
+    auto analysis = make_analysis(true, nullptr);
+    (void)analysis.value().evaluate_all(space, {});
+    for (int round = 0; round < 3; ++round) {
+        const auto start = std::chrono::steady_clock::now();
+        auto verdicts = analysis.value().evaluate_all(space, {});
+        benchmark::DoNotOptimize(verdicts);
+        const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
+        if (round == 0 || elapsed.count() < numbers.cdcl_s) numbers.cdcl_s = elapsed.count();
     }
     return numbers;
 }
@@ -602,7 +595,6 @@ void write_sweep_json() {
     const double obs_overhead = null_obs_overhead();
     const double static_fraction = static_resolution_fraction();
     const CdclNumbers cdcl = cdcl_numbers();
-    const double cdcl_speedup = cdcl.cdcl_s > 0.0 ? cdcl.dpll_s / cdcl.cdcl_s : 0.0;
     const ServeNumbers serve = serve_numbers();
     const double warm_speedup = serve.warm_s > 0.0 ? serve.cold_s / serve.warm_s : 0.0;
     const FrontierNumbers frontier = frontier_numbers(16);
@@ -638,9 +630,7 @@ void write_sweep_json() {
                  "  \"cdcl\": {\n"
                  "    \"workload\": \"chain(8) + choice-gated loop bank, behavioural "
                  "focus, horizon 3, 48 scenarios\",\n"
-                 "    \"dpll_jobs1_s\": %.6f,\n"
                  "    \"cdcl_warm_jobs1_s\": %.6f,\n"
-                 "    \"speedup\": %.2f,\n"
                  "    \"learned_clauses\": %zu,\n"
                  "    \"reused_propagations\": %zu,\n"
                  "    \"static_fraction\": %.4f,\n"
@@ -679,7 +669,7 @@ void write_sweep_json() {
                  "}\n",
                  seed, cache_only, jobs2, jobs4, jobs8, seed / cache_only, seed / jobs8,
                  obs_overhead, cache_only, no_prefilter, no_prefilter / cache_only,
-                 static_fraction, cdcl.dpll_s, cdcl.cdcl_s, cdcl_speedup, cdcl.learned,
+                 static_fraction, cdcl.cdcl_s, cdcl.learned,
                  cdcl.reused, cdcl.static_fraction, cdcl.verdicts_match ? "true" : "false",
                  frontier.monotone ? "monotone" : "mixed", frontier.candidates,
                  frontier.evaluated, frontier.pruned, frontier.minimal, frontier.seconds,
@@ -690,12 +680,12 @@ void write_sweep_json() {
     std::fclose(out);
     std::printf("BENCH_epa.json: ground-once alone %.2fx, jobs=8 vs seed %.2fx, "
                 "null-obs overhead %.4fx, prefilter %.2fx (static fraction %.2f), "
-                "cdcl vs dpll %.2fx (%zu reused propagations, verdicts %s), "
+                "warm cdcl %.4fs (%zu reused propagations, verdicts %s), "
                 "frontier pruning %.0fx (%zu/%zu), priority coverage %.2fx at half "
                 "budget, serve warm hit %.2fx "
                 "(%zu evictions, %zu hits under a 1-model cap)\n",
                 seed / cache_only, seed / jobs8, obs_overhead, no_prefilter / cache_only,
-                static_fraction, cdcl_speedup, cdcl.reused,
+                static_fraction, cdcl.cdcl_s, cdcl.reused,
                 cdcl.verdicts_match ? "match" : "MISMATCH", pruning_ratio,
                 frontier.candidates, frontier.evaluated, priors.ratio, warm_speedup,
                 serve.evictions, serve.hits);

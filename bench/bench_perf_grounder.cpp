@@ -11,6 +11,7 @@
 #include "asp/grounder.hpp"
 #include "asp/parser.hpp"
 #include "asp/temporal.hpp"
+#include "common/strings.hpp"
 #include "core/loader.hpp"
 #include "epa/epa.hpp"
 #include "security/attack_matrix.hpp"
@@ -33,10 +34,10 @@ GrounderOptions options_for(bool scc_order) {
 std::string layered_program(int layers, int width) {
     std::string text = "d0(1.." + std::to_string(width) + ").\n";
     for (int layer = 1; layer <= layers; ++layer) {
-        const std::string prev = "d" + std::to_string(layer - 1);
-        const std::string cur = "d" + std::to_string(layer);
+        const std::string prev = numbered("d", layer - 1);
+        const std::string cur = numbered("d", layer);
         text += cur + "(X) :- " + prev + "(X), not blocked" + std::to_string(layer) + "(X).\n";
-        text += "blocked" + std::to_string(layer) + "(X) :- " + prev + "(X), X > " +
+        text += numbered("blocked", layer) + "(X) :- " + prev + "(X), X > " +
                 std::to_string(width) + ".\n";
     }
     text += "#show d" + std::to_string(layers) + "/1.\n";

@@ -5,10 +5,12 @@
 
 #include <string>
 
+#include "common/strings.hpp"
 #include "mitigation/optimizer.hpp"
 
 namespace {
 
+using cprisk::numbered;
 using namespace cprisk::mitigation;
 
 /// Deterministic pseudo-random problem: m mitigations, t threats.
@@ -16,22 +18,21 @@ MitigationProblem generated(int mitigations, int threats, int seed = 7) {
     MitigationProblem problem;
     for (int i = 0; i < mitigations; ++i) {
         problem.candidates.push_back(
-            Candidate{"m" + std::to_string(i), "M" + std::to_string(i),
-                      1 + (seed * 5 + i * 3) % 7});
+            Candidate{numbered("m", i), numbered("M", i), 1 + (seed * 5 + i * 3) % 7});
     }
     for (int t = 0; t < threats; ++t) {
         Threat threat;
-        threat.scenario_id = "t" + std::to_string(t);
+        threat.scenario_id = numbered("t", t);
         threat.loss = 10 + (seed * 13 + t * 17) % 60;
         const int mutations = 1 + (t + seed) % 3;
         for (int u = 0; u < mutations; ++u) {
             std::vector<std::string> covers;
             for (int i = 0; i < mitigations; ++i) {
                 if ((seed + t * 3 + u * 5 + i) % 3 == 0) {
-                    covers.push_back("m" + std::to_string(i));
+                    covers.push_back(numbered("m", i));
                 }
             }
-            if (covers.empty()) covers.push_back("m" + std::to_string((t + u) % mitigations));
+            if (covers.empty()) covers.push_back(numbered("m", (t + u) % mitigations));
             threat.mutation_covers.push_back(std::move(covers));
         }
         problem.threats.push_back(std::move(threat));

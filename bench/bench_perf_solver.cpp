@@ -188,23 +188,20 @@ placed(P) :- place(P, H).
 boom(S) :- pin(S), not jam.
 )";
 
-void BM_CdclVsDpllRefutation(benchmark::State& state) {
+void BM_CdclRefutation(benchmark::State& state) {
     // One cold full enumeration per iteration, every slot pinned off:
     // exhausting the model space forces the jam-gated pigeonhole branch to
-    // be refuted, so the run measures each engine's raw search throughput
-    // on an identical refutation. Counters report propagations/sec and
-    // conflicts/sec.
+    // be refuted, so the run measures the engine's raw search throughput on
+    // a refutation. Counters report propagations/sec and conflicts/sec.
     auto grounded = ground(parse_program(kAssumptionSweepProgram).value()).value();
     std::vector<std::pair<int, bool>> off;
     for (int id = 0; id < static_cast<int>(grounded.atom_count()); ++id) {
         if (grounded.atom(id).predicate == "pin") off.emplace_back(id, false);
     }
-    const SolverEngine engine = state.range(0) != 0 ? SolverEngine::Cdcl : SolverEngine::Dpll;
     std::size_t propagations = 0;
     std::size_t conflicts = 0;
     for (auto _ : state) {
         SolveOptions options;
-        options.engine = engine;
         options.assumptions = off;
         auto result = solve(grounded, options);
         benchmark::DoNotOptimize(result);
@@ -215,24 +212,23 @@ void BM_CdclVsDpllRefutation(benchmark::State& state) {
         benchmark::Counter(static_cast<double>(propagations), benchmark::Counter::kIsRate);
     state.counters["conflicts_per_s"] =
         benchmark::Counter(static_cast<double>(conflicts), benchmark::Counter::kIsRate);
-    state.SetLabel(engine == SolverEngine::Cdcl ? "cdcl" : "dpll");
 }
-BENCHMARK(BM_CdclVsDpllRefutation)->Arg(0)->Arg(1);
+BENCHMARK(BM_CdclRefutation);
 
 void BM_AssumptionSweep48(benchmark::State& state) {
     // The sweep idiom end to end: 48 assumption contexts (slot i pinned
-    // true, the rest false) solved in sequence. Arg 0: DPLL, a fresh search
-    // per context. Arg 1: cold CDCL, completion rebuilt and clauses
-    // relearned per context. Arg 2: persistent CDCL (IncrementalSolver) —
-    // the completion is built once and entailed clauses learned by earlier
-    // contexts propagate for later ones; `reuse_rate` is the fraction of
-    // propagations driven by a clause learned in an earlier solve.
+    // true, the rest false) solved in sequence. Arg 0: cold CDCL, completion
+    // rebuilt and clauses relearned per context. Arg 1: persistent CDCL
+    // (IncrementalSolver) — the completion is built once and entailed
+    // clauses learned by earlier contexts propagate for later ones;
+    // `reuse_rate` is the fraction of propagations driven by a clause
+    // learned in an earlier solve.
     auto grounded = ground(parse_program(kAssumptionSweepProgram).value()).value();
     std::vector<int> pins;
     for (int id = 0; id < static_cast<int>(grounded.atom_count()); ++id) {
         if (grounded.atom(id).predicate == "pin") pins.push_back(id);
     }
-    const int mode = static_cast<int>(state.range(0));
+    const bool persistent = state.range(0) != 0;
     IncrementalSolver warm(grounded);
     std::size_t propagations = 0;
     std::size_t conflicts = 0;
@@ -240,8 +236,7 @@ void BM_AssumptionSweep48(benchmark::State& state) {
     for (auto _ : state) {
         for (std::size_t i = 0; i < pins.size(); ++i) {
             SolveOptions options;
-            options.engine = mode == 0 ? SolverEngine::Dpll : SolverEngine::Cdcl;
-            if (mode == 2) options.incremental = &warm;
+            if (persistent) options.incremental = &warm;
             options.assumptions.reserve(pins.size());
             for (std::size_t j = 0; j < pins.size(); ++j) {
                 options.assumptions.emplace_back(pins[j], i == j);
@@ -261,9 +256,9 @@ void BM_AssumptionSweep48(benchmark::State& state) {
     state.counters["reuse_rate"] =
         propagations > 0 ? static_cast<double>(reused) / static_cast<double>(propagations)
                          : 0.0;
-    state.SetLabel(mode == 0 ? "dpll" : mode == 1 ? "cdcl_cold" : "cdcl_warm");
+    state.SetLabel(persistent ? "cdcl_warm" : "cdcl_cold");
 }
-BENCHMARK(BM_AssumptionSweep48)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_AssumptionSweep48)->Arg(0)->Arg(1);
 
 void BM_ParseLargeProgram(benchmark::State& state) {
     const std::string text = chain_program(static_cast<int>(state.range(0)));

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "common/table.hpp"
 #include "core/watertank.hpp"
 
@@ -84,7 +85,7 @@ int main() {
         };
         const bool r1 = v.violates("r1");
         const bool r2 = v.violates("r2");
-        table.add_row({"S" + std::to_string(i + 1),
+        table.add_row({cprisk::numbered("S", i + 1),
                        star("input_valve", "stuck_at_open"),
                        star("output_valve", "stuck_at_closed"), star("hmi", "no_signal"),
                        star("workstation", "infected"), active("M-TRAIN"),

@@ -8,8 +8,8 @@ namespace cprisk::asp::absint {
 
 namespace {
 
-/// Mirrors SolverImpl::compare_values (asp/solver.cpp) so the certifier's
-/// exact aggregate evaluation matches the solver's bit for bit.
+/// Mirrors the CDCL engine's compare_values (asp/cdcl.cpp) so the
+/// certifier's exact aggregate evaluation matches the solver's bit for bit.
 bool compare_values(long long lhs, CompareOp op, long long rhs) {
     switch (op) {
         case CompareOp::Eq: return lhs == rhs;
@@ -332,7 +332,7 @@ private:
         }
     }
 
-    /// Mirrors SolverImpl::aggregate_holds under the must-set model.
+    /// Mirrors CdclSolver::aggregate_holds under the must-set model.
     bool aggregate_holds(const GroundAggregate& aggregate) const {
         long long value = 0;
         std::set<std::string> counted;
@@ -354,7 +354,7 @@ private:
     /// True when the total must set is the program's unique answer set under
     /// the pins: no constraint fires, bounded choices hold, and the model is
     /// founded (the reduct's least model reproduces it — the same check as
-    /// SolverImpl::stable, including choice self-support).
+    /// CdclSolver::stable, including choice self-support).
     bool certify() const {
         for (const GroundRule& rule : program_.rules()) {
             if (rule.kind == GroundRule::Kind::Constraint) {
@@ -462,24 +462,15 @@ std::vector<Atom> certified_model(const GroundProgram& program, const Analysis& 
 
 std::map<long long, long long> certified_cost(const GroundProgram& program,
                                               const Analysis& analysis) {
-    std::map<long long, long long> cost;
-    std::set<std::pair<long long, std::string>> counted;
-    for (const GroundWeak& weak : program.weaks()) {
-        bool holds = true;
+    return weak_cost(program.weaks(), [&](const GroundWeak& weak) {
         for (int b : weak.positive_body) {
-            if (!analysis.must(b)) {
-                holds = false;
-                break;
-            }
+            if (!analysis.must(b)) return false;
         }
         for (int b : weak.negative_body) {
-            if (holds && analysis.must(b)) holds = false;
+            if (analysis.must(b)) return false;
         }
-        if (!holds) continue;
-        if (!counted.insert({weak.priority, weak.tuple}).second) continue;
-        cost[weak.priority] += weak.weight;
-    }
-    return cost;
+        return true;
+    });
 }
 
 SimplifyStats simplify(GroundProgram& program, const Analysis& analysis) {

@@ -10,8 +10,7 @@ namespace cprisk::asp {
 
 namespace {
 
-/// Literal encoding shared with the DPLL engine: variable v true -> 2v,
-/// false -> 2v+1.
+/// Literal encoding: variable v true -> 2v, false -> 2v+1.
 int pos_lit(int var) { return 2 * var; }
 int neg_lit(int var) { return 2 * var + 1; }
 int lit_var(int lit) { return lit / 2; }
@@ -20,8 +19,9 @@ int negate(int lit) { return lit ^ 1; }
 
 constexpr std::size_t kRestartBase = 64;  ///< conflicts per Luby unit
 
-}  // namespace
-
+/// Canonical order for the final model list: by projected atoms, then cost,
+/// so downstream consumers that take `models.front()` behave identically
+/// regardless of search order.
 void sort_models_canonically(std::vector<AnswerSet>& models) {
     std::sort(models.begin(), models.end(), [](const AnswerSet& a, const AnswerSet& b) {
         if (a.atoms < b.atoms) return true;
@@ -29,6 +29,8 @@ void sort_models_canonically(std::vector<AnswerSet>& models) {
         return a.cost < b.cost;
     });
 }
+
+}  // namespace
 
 CdclSolver::CdclSolver(const GroundProgram& program) : program_(program) { build(); }
 
@@ -624,7 +626,7 @@ int CdclSolver::pick_branch_var() {
     return -1;
 }
 
-// --- answer-set leaf checks (semantics identical to the DPLL engine) --------
+// --- answer-set leaf checks -------------------------------------------------
 
 namespace {
 
@@ -847,59 +849,35 @@ std::vector<int> CdclSolver::unfounded_cut(const std::vector<int>& unfounded) co
 // --- costs ------------------------------------------------------------------
 
 std::map<long long, long long> CdclSolver::model_cost() const {
-    std::map<long long, long long> cost;
-    std::set<std::pair<long long, std::string>> counted;
-    for (const GroundWeak& w : program_.weaks()) {
-        bool holds = true;
+    return weak_cost(program_.weaks(), [&](const GroundWeak& w) {
         for (int p : w.positive_body) {
-            if (assign_[static_cast<std::size_t>(p)] <= 0) {
-                holds = false;
-                break;
-            }
+            if (assign_[static_cast<std::size_t>(p)] <= 0) return false;
         }
         for (int n : w.negative_body) {
-            if (assign_[static_cast<std::size_t>(n)] > 0) {
-                holds = false;
-                break;
-            }
+            if (assign_[static_cast<std::size_t>(n)] > 0) return false;
         }
-        if (!holds) continue;
-        if (!counted.insert({w.priority, w.tuple}).second) continue;
-        cost[w.priority] += w.weight;
-    }
-    return cost;
+        return true;
+    });
 }
 
 std::map<long long, long long> CdclSolver::partial_cost_lower_bound() const {
-    std::map<long long, long long> cost;
-    std::set<std::pair<long long, std::string>> counted;
-    for (const GroundWeak& w : program_.weaks()) {
-        bool definitely = true;
+    return weak_cost(program_.weaks(), [&](const GroundWeak& w) {
         for (int p : w.positive_body) {
-            if (assign_[static_cast<std::size_t>(p)] <= 0) {
-                definitely = false;
-                break;
-            }
+            if (assign_[static_cast<std::size_t>(p)] <= 0) return false;
         }
         for (int n : w.negative_body) {
-            if (assign_[static_cast<std::size_t>(n)] >= 0) {
-                definitely = false;
-                break;
-            }
+            if (assign_[static_cast<std::size_t>(n)] >= 0) return false;
         }
-        if (!definitely) continue;
-        if (!counted.insert({w.priority, w.tuple}).second) continue;
-        cost[w.priority] += w.weight;
-    }
-    return cost;
+        return true;
+    });
 }
 
 bool CdclSolver::should_prune_by_cost() const {
     if (!has_weaks_ || !options_->optimize || negative_weights_) return false;
     if (!have_best_) return false;
     const auto bound = partial_cost_lower_bound();
-    // Prune only if the lower bound already exceeds the best cost — the same
-    // strict rule as the DPLL engine, so the optimal-model set matches.
+    // Prune only if the lower bound already exceeds the best cost: a strict
+    // rule, so every model tied with the optimum is still enumerated.
     return cost_less(best_cost_, bound);
 }
 
@@ -1211,7 +1189,7 @@ void CdclSolver::finalize_solve() {
 bool CdclSolver::push_assumptions() {
     for (const auto& [atom, value] : options_->assumptions) {
         if (atom < 0 || atom >= n_atoms_) {
-            // Out-of-range pin: trivially unsatisfiable (DPLL parity).
+            // Out-of-range pin: trivially unsatisfiable, never fatal.
             core_ = {{atom, value}};
             core_valid_ = true;
             return false;

@@ -1,10 +1,10 @@
 // cprisk/asp/cdcl.hpp
 //
-// Conflict-driven clause learning (CDCL) engine for the stable-model solver
-// (docs/solver.md). Same front door as the DPLL engine in solver.cpp — the
-// Clark completion of a ground program, enumerated to (projected, distinct)
-// answer sets with identical costs and optima — but searched with the modern
-// toolbox:
+// Conflict-driven clause learning (CDCL) engine behind the stable-model
+// solver's front door, asp::solve() in solver.hpp (docs/solver.md). It
+// enumerates the Clark completion of a ground program to (projected,
+// distinct) answer sets with their costs and optima, searched with the
+// modern toolbox:
 //
 //  1. Two-watched-literal unit propagation (no per-clause counters, no
 //     touch-every-clause backtracking).
@@ -18,10 +18,10 @@
 //     decision levels 1..k; an UNSAT outcome yields the final-conflict
 //     assumption core on `SolveResult::assumption_core`.
 //
-// Answer-set specifics ride the same machinery as in the DPLL engine:
-// stability rejection adds loop-formula cuts, bounded choice rules propagate
-// through explained entailed clauses, and non-answer-set leaves (aggregates)
-// are excluded with blocking clauses. Clauses carry a `transient` taint —
+// Answer-set specifics ride the same machinery: stability rejection adds
+// loop-formula cuts, bounded choice rules propagate through explained
+// entailed clauses, and non-answer-set leaves (aggregates) are excluded with
+// blocking clauses. Clauses carry a `transient` taint —
 // model-blocking and cost-bound cuts depend on the enumeration context and
 // are dropped at solve end, while loop cuts and bound explanations are
 // entailed by the program and persist. A CdclSolver kept alive across solves
@@ -120,7 +120,7 @@ private:
     void heap_sift_down(std::size_t i);
     int pick_branch_var();
 
-    // Answer-set leaf checks (semantics identical to the DPLL engine).
+    // Answer-set leaf checks.
     bool body_satisfied_in_model(const GroundRule& rule) const;
     bool aggregate_holds(const GroundAggregate& aggregate) const;
     bool aggregates_ok() const;
@@ -128,7 +128,7 @@ private:
     bool stable(std::vector<int>& unfounded_out) const;
     std::vector<int> unfounded_cut(const std::vector<int>& unfounded) const;
 
-    // Costs (identical to the DPLL engine).
+    // Costs (weak_cost() in ground_program.hpp defines the cost elements).
     std::map<long long, long long> model_cost() const;
     std::map<long long, long long> partial_cost_lower_bound() const;
     bool should_prune_by_cost() const;
@@ -212,10 +212,5 @@ private:
     std::uint32_t generation_ = 0;
     std::size_t retained_learned_ = 0;
 };
-
-/// Canonical order for the final model list: by projected atoms, then cost.
-/// Both engines sort their results with this so downstream consumers that
-/// take `models.front()` behave identically regardless of search order.
-void sort_models_canonically(std::vector<AnswerSet>& models);
 
 }  // namespace cprisk::asp

@@ -59,7 +59,10 @@ std::string GroundProgram::to_string() const {
                     out += atom(r.choice_heads[i]).to_string();
                 }
                 out += " }";
-                if (r.upper_bound) out += " " + std::to_string(*r.upper_bound);
+                if (r.upper_bound) {
+                    out += ' ';
+                    out += std::to_string(*r.upper_bound);
+                }
                 break;
             }
         }

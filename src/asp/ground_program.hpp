@@ -8,7 +8,9 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "asp/syntax.hpp"
@@ -49,8 +51,9 @@ struct GroundRule {
     std::vector<GroundAggregate> aggregates;
 };
 
-/// A ground weak constraint: when the body holds in an answer set, the tuple
-/// contributes `weight` at `priority` (distinct tuples counted once).
+/// A ground weak constraint: when the body holds in an answer set, it
+/// contributes `weight` at `priority`, once per distinct (weight, priority,
+/// tuple) — see weak_cost().
 struct GroundWeak {
     std::vector<int> positive_body;
     std::vector<int> negative_body;
@@ -58,6 +61,24 @@ struct GroundWeak {
     long long priority = 0;
     std::string tuple;  ///< serialized tuple identity
 };
+
+/// Priority -> cost of the weak constraints for which `holds(weak)` is true.
+/// Clingo semantics: weak constraints that agree on weight, priority and
+/// tuple are one cost element and count once; differing weights on the same
+/// tuple count separately. Every cost computation (model costs, the search's
+/// lower bound, the static certifier) goes through here.
+template <typename Holds>
+std::map<long long, long long> weak_cost(const std::vector<GroundWeak>& weaks,
+                                         const Holds& holds) {
+    std::map<long long, long long> cost;
+    std::set<std::tuple<long long, long long, std::string>> counted;
+    for (const GroundWeak& weak : weaks) {
+        if (!holds(weak)) continue;
+        if (!counted.emplace(weak.priority, weak.weight, weak.tuple).second) continue;
+        cost[weak.priority] += weak.weight;
+    }
+    return cost;
+}
 
 /// Interned ground program.
 class GroundProgram {

@@ -462,8 +462,14 @@ private:
 
     static std::string serialize_body(const std::vector<int>& pos, const std::vector<int>& neg) {
         std::string key;
-        for (int id : pos) key += "p" + std::to_string(id);
-        for (int id : neg) key += "n" + std::to_string(id);
+        for (int id : pos) {
+            key += 'p';
+            key += std::to_string(id);
+        }
+        for (int id : neg) {
+            key += 'n';
+            key += std::to_string(id);
+        }
         return key;
     }
 

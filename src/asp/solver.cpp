@@ -1,8 +1,6 @@
 #include "asp/solver.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <set>
 
 #include "asp/cdcl.hpp"
 #include "asp/incremental.hpp"
@@ -56,710 +54,6 @@ std::string AnswerSet::to_string() const {
     return out;
 }
 
-namespace {
-
-/// Literal encoding: variable v true -> 2v, false -> 2v+1.
-int pos_lit(int var) { return 2 * var; }
-int neg_lit(int var) { return 2 * var + 1; }
-int lit_var(int lit) { return lit / 2; }
-bool lit_sign(int lit) { return (lit & 1) == 0; }  // true literal?
-int negate(int lit) { return lit ^ 1; }
-
-class SolverImpl {
-public:
-    SolverImpl(const GroundProgram& program, const SolveOptions& options)
-        : program_(program), options_(options) {
-        build();
-    }
-
-    SolveResult run() {
-        SolveResult result;
-        if (!consistent_) {  // trivial top-level conflict while building
-            result.satisfiable = false;
-            result.stats = stats_;
-            return result;
-        }
-        search();
-        result.stats = stats_;
-        result.satisfiable = !found_.empty();
-        result.best_cost = best_cost_;
-        if (interrupt_reason_) {
-            result.interrupt = SolveInterrupt{*interrupt_reason_, stats_};
-        }
-
-        // Optimality filter + projection dedup.
-        std::set<std::string> seen;
-        for (auto& model : found_) {
-            if (has_weaks_ && options_.optimize && model.cost != best_cost_) continue;
-            std::string key;
-            for (const Atom& a : model.atoms) key += a.to_string() + "|";
-            if (!seen.insert(key).second) continue;
-            result.models.push_back(std::move(model));
-        }
-        // Same canonical order as the CDCL engine, so `models.front()` is
-        // engine-invariant for downstream consumers.
-        sort_models_canonically(result.models);
-        return result;
-    }
-
-private:
-    // --- construction ---------------------------------------------------------
-
-    void build() {
-        const int n_atoms = static_cast<int>(program_.atom_count());
-        const int n_rules = static_cast<int>(program_.rules().size());
-        n_vars_ = n_atoms + n_rules;
-        assign_.assign(static_cast<std::size_t>(n_vars_), 0);
-        occurrences_.assign(static_cast<std::size_t>(2 * n_vars_), {});
-
-        std::vector<std::vector<int>> supports(static_cast<std::size_t>(n_atoms));
-
-        for (int r = 0; r < n_rules; ++r) {
-            const GroundRule& rule = program_.rules()[static_cast<std::size_t>(r)];
-            const int body_var = n_atoms + r;
-
-            // body_var <-> conjunction of body literals
-            std::vector<int> all_false = {pos_lit(body_var)};
-            for (int p : rule.positive_body) {
-                add_clause({neg_lit(body_var), pos_lit(p)});
-                all_false.push_back(neg_lit(p));
-            }
-            for (int n : rule.negative_body) {
-                add_clause({neg_lit(body_var), neg_lit(n)});
-                all_false.push_back(pos_lit(n));
-            }
-            add_clause(std::move(all_false));
-
-            switch (rule.kind) {
-                case GroundRule::Kind::Normal:
-                    add_clause({neg_lit(body_var), pos_lit(rule.head)});
-                    supports[static_cast<std::size_t>(rule.head)].push_back(body_var);
-                    break;
-                case GroundRule::Kind::Constraint:
-                    if (rule.aggregates.empty()) {
-                        add_clause({neg_lit(body_var)});
-                    } else {
-                        // The constraint only fires when the aggregates also
-                        // hold; checked on total assignments.
-                        aggregate_constraints_.push_back(r);
-                    }
-                    break;
-                case GroundRule::Kind::Choice:
-                    for (int h : rule.choice_heads) {
-                        supports[static_cast<std::size_t>(h)].push_back(body_var);
-                    }
-                    if (rule.lower_bound || rule.upper_bound) {
-                        bounded_choices_.push_back(r);
-                    }
-                    break;
-            }
-        }
-
-        // Completion/support clauses: atom -> disjunction of its bodies.
-        for (int a = 0; a < n_atoms; ++a) {
-            std::vector<int> clause = {neg_lit(a)};
-            for (int body_var : supports[static_cast<std::size_t>(a)]) {
-                clause.push_back(pos_lit(body_var));
-            }
-            add_clause(std::move(clause));
-        }
-
-        for (const GroundWeak& w : program_.weaks()) {
-            if (w.weight < 0) negative_weights_ = true;
-        }
-        has_weaks_ = !program_.weaks().empty();
-
-        // Static decision order: most-constrained variables first (highest
-        // clause occurrence count), which lets unit propagation cut earlier.
-        order_.reserve(static_cast<std::size_t>(n_vars_));
-        for (int v = 0; v < n_vars_; ++v) order_.push_back(v);
-        std::vector<std::size_t> occurrence_count(static_cast<std::size_t>(n_vars_), 0);
-        for (int v = 0; v < n_vars_; ++v) {
-            occurrence_count[static_cast<std::size_t>(v)] =
-                occurrences_[static_cast<std::size_t>(pos_lit(v))].size() +
-                occurrences_[static_cast<std::size_t>(neg_lit(v))].size();
-        }
-        std::stable_sort(order_.begin(), order_.end(), [&](int a, int b) {
-            return occurrence_count[static_cast<std::size_t>(a)] >
-                   occurrence_count[static_cast<std::size_t>(b)];
-        });
-
-        // Assumptions: permanent decision-level-0 assignments, applied before
-        // the top-level propagation so their consequences prune the entire
-        // search. They sit at the bottom of the trail, below every search
-        // mark, so backtracking never undoes them.
-        for (const auto& [atom, value] : options_.assumptions) {
-            if (atom < 0 || atom >= n_atoms ||
-                !assign_literal(value ? pos_lit(atom) : neg_lit(atom))) {
-                consistent_ = false;
-                return;
-            }
-        }
-
-        // Top-level propagation of unit clauses.
-        consistent_ = propagate();
-    }
-
-    void add_clause(std::vector<int> lits) {
-        // Skip tautologies / duplicate literals.
-        std::sort(lits.begin(), lits.end());
-        lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
-        for (std::size_t i = 0; i + 1 < lits.size(); ++i) {
-            if (lits[i + 1] == negate(lits[i])) return;  // tautology
-        }
-        const int id = static_cast<int>(clauses_.size());
-        Clause clause;
-        clause.lits = std::move(lits);
-        // Counters under the current (possibly partial) assignment.
-        for (int lit : clause.lits) {
-            const int value = assign_[static_cast<std::size_t>(lit_var(lit))];
-            if (value == 0) {
-                ++clause.unassigned;
-            } else if ((value > 0) == lit_sign(lit)) {
-                ++clause.true_count;
-            }
-            occurrences_[static_cast<std::size_t>(lit)].push_back(id);
-        }
-        clauses_.push_back(std::move(clause));
-        if (clauses_.back().true_count == 0 && clauses_.back().unassigned <= 1) {
-            pending_clause_ = true;  // unit or conflicting under current assignment
-        }
-    }
-
-    // --- assignment / propagation ----------------------------------------------
-
-    bool value_true(int lit) const {
-        const int v = assign_[static_cast<std::size_t>(lit_var(lit))];
-        return v != 0 && (v > 0) == lit_sign(lit);
-    }
-    bool value_false(int lit) const {
-        const int v = assign_[static_cast<std::size_t>(lit_var(lit))];
-        return v != 0 && (v > 0) != lit_sign(lit);
-    }
-    bool unassigned(int var) const { return assign_[static_cast<std::size_t>(var)] == 0; }
-
-    /// Assigns `lit` true; updates clause counters. Returns false on an
-    /// immediate conflict (lit already false).
-    bool assign_literal(int lit) {
-        const int var = lit_var(lit);
-        const int8_t desired = lit_sign(lit) ? 1 : -1;
-        int8_t& slot = assign_[static_cast<std::size_t>(var)];
-        if (slot != 0) return slot == desired;
-        slot = desired;
-        trail_.push_back(lit);
-        ++stats_.propagations;
-        for (int c : occurrences_[static_cast<std::size_t>(lit)]) {
-            Clause& clause = clauses_[static_cast<std::size_t>(c)];
-            ++clause.true_count;
-            --clause.unassigned;
-        }
-        for (int c : occurrences_[static_cast<std::size_t>(negate(lit))]) {
-            Clause& clause = clauses_[static_cast<std::size_t>(c)];
-            --clause.unassigned;
-            if (clause.true_count == 0 && clause.unassigned <= 1) {
-                units_.push_back(c);
-            }
-        }
-        return true;
-    }
-
-    void unassign_to(std::size_t mark) {
-        while (trail_.size() > mark) {
-            const int lit = trail_.back();
-            trail_.pop_back();
-            assign_[static_cast<std::size_t>(lit_var(lit))] = 0;
-            for (int c : occurrences_[static_cast<std::size_t>(lit)]) {
-                Clause& clause = clauses_[static_cast<std::size_t>(c)];
-                --clause.true_count;
-                ++clause.unassigned;
-            }
-            for (int c : occurrences_[static_cast<std::size_t>(negate(lit))]) {
-                ++clauses_[static_cast<std::size_t>(c)].unassigned;
-            }
-        }
-        units_.clear();
-    }
-
-    /// Exhaustive unit propagation; false on conflict.
-    bool propagate() {
-        if (pending_clause_) {
-            // A clause added mid-flight may already be unit/conflicting.
-            pending_clause_ = false;
-            for (int c = 0; c < static_cast<int>(clauses_.size()); ++c) {
-                const Clause& clause = clauses_[static_cast<std::size_t>(c)];
-                if (clause.true_count == 0 && clause.unassigned <= 1) units_.push_back(c);
-            }
-        }
-        while (!units_.empty()) {
-            const int c = units_.back();
-            units_.pop_back();
-            const Clause& clause = clauses_[static_cast<std::size_t>(c)];
-            if (clause.true_count > 0) continue;
-            if (clause.unassigned == 0) {
-                ++stats_.conflicts;
-                units_.clear();
-                return false;
-            }
-            int unit = -1;
-            for (int lit : clause.lits) {
-                if (unassigned(lit_var(lit))) {
-                    unit = lit;
-                    break;
-                }
-            }
-            if (unit < 0) continue;  // stale entry
-            if (!assign_literal(unit)) {
-                ++stats_.conflicts;
-                units_.clear();
-                return false;
-            }
-        }
-        return true;
-    }
-
-    // --- leaf validation ---------------------------------------------------------
-
-    bool body_satisfied_in_model(const GroundRule& rule) const {
-        for (int p : rule.positive_body) {
-            if (assign_[static_cast<std::size_t>(p)] <= 0) return false;
-        }
-        for (int n : rule.negative_body) {
-            if (assign_[static_cast<std::size_t>(n)] > 0) return false;
-        }
-        return true;
-    }
-
-    static bool compare_values(long long lhs, CompareOp op, long long rhs) {
-        switch (op) {
-            case CompareOp::Eq: return lhs == rhs;
-            case CompareOp::Ne: return lhs != rhs;
-            case CompareOp::Lt: return lhs < rhs;
-            case CompareOp::Le: return lhs <= rhs;
-            case CompareOp::Gt: return lhs > rhs;
-            case CompareOp::Ge: return lhs >= rhs;
-        }
-        return false;
-    }
-
-    bool aggregate_holds(const GroundAggregate& aggregate) const {
-        long long value = 0;
-        std::set<std::string> counted;
-        for (const GroundAggregateElement& element : aggregate.elements) {
-            bool holds = true;
-            for (int id : element.condition) {
-                if (assign_[static_cast<std::size_t>(id)] <= 0) {
-                    holds = false;
-                    break;
-                }
-            }
-            if (!holds) continue;
-            if (!counted.insert(element.tuple).second) continue;
-            value += element.weight;
-        }
-        return compare_values(value, aggregate.op, aggregate.bound);
-    }
-
-    /// Constraints with aggregate guards, checked on total assignments: the
-    /// model is rejected when the literal body and every aggregate hold.
-    bool aggregates_ok() const {
-        for (int r : aggregate_constraints_) {
-            const GroundRule& rule = program_.rules()[static_cast<std::size_t>(r)];
-            if (!body_satisfied_in_model(rule)) continue;
-            bool all_hold = true;
-            for (const GroundAggregate& aggregate : rule.aggregates) {
-                if (!aggregate_holds(aggregate)) {
-                    all_hold = false;
-                    break;
-                }
-            }
-            if (all_hold) return false;
-        }
-        return true;
-    }
-
-    /// Propagation for bounded choice rules: once the bound is saturated the
-    /// remaining heads are forced, and a bound that can no longer be met
-    /// falsifies the rule body. Returns false on conflict; sets
-    /// `progressed` when literals were assigned.
-    bool propagate_bounds(bool& progressed) {
-        const int n_atoms = static_cast<int>(program_.atom_count());
-        for (int r : bounded_choices_) {
-            const GroundRule& rule = program_.rules()[static_cast<std::size_t>(r)];
-            const int body_var = n_atoms + r;
-            const int8_t body_value = assign_[static_cast<std::size_t>(body_var)];
-            if (body_value < 0) continue;  // body false: bounds do not apply
-
-            long long chosen = 0;
-            long long open = 0;
-            for (int h : rule.choice_heads) {
-                const int8_t v = assign_[static_cast<std::size_t>(h)];
-                if (v > 0) {
-                    ++chosen;
-                } else if (v == 0) {
-                    ++open;
-                }
-            }
-            const bool upper_violated = rule.upper_bound && chosen > *rule.upper_bound;
-            const bool lower_unreachable =
-                rule.lower_bound && chosen + open < *rule.lower_bound;
-            if (upper_violated || lower_unreachable) {
-                // The bounds cannot hold: the body must be false.
-                if (body_value > 0) return false;
-                if (!assign_literal(neg_lit(body_var))) return false;
-                progressed = true;
-                continue;
-            }
-            if (body_value == 0) continue;  // body undecided: nothing to force
-
-            if (rule.upper_bound && chosen == *rule.upper_bound && open > 0) {
-                for (int h : rule.choice_heads) {
-                    if (assign_[static_cast<std::size_t>(h)] == 0) {
-                        if (!assign_literal(neg_lit(h))) return false;
-                        progressed = true;
-                    }
-                }
-            } else if (rule.lower_bound && chosen + open == *rule.lower_bound && open > 0) {
-                for (int h : rule.choice_heads) {
-                    if (assign_[static_cast<std::size_t>(h)] == 0) {
-                        if (!assign_literal(pos_lit(h))) return false;
-                        progressed = true;
-                    }
-                }
-            }
-        }
-        return true;
-    }
-
-    /// Unit propagation interleaved with bound propagation to fixpoint.
-    bool propagate_all() {
-        while (true) {
-            if (!propagate()) return false;
-            if (!options_.propagate_bounds) return true;
-            bool progressed = false;
-            if (!propagate_bounds(progressed)) {
-                ++stats_.conflicts;
-                return false;
-            }
-            if (!progressed) return true;
-        }
-    }
-
-    bool bounds_ok() const {
-        for (int r : bounded_choices_) {
-            const GroundRule& rule = program_.rules()[static_cast<std::size_t>(r)];
-            if (!body_satisfied_in_model(rule)) continue;
-            long long chosen = 0;
-            for (int h : rule.choice_heads) {
-                if (assign_[static_cast<std::size_t>(h)] > 0) ++chosen;
-            }
-            if (rule.lower_bound && chosen < *rule.lower_bound) return false;
-            if (rule.upper_bound && chosen > *rule.upper_bound) return false;
-        }
-        return true;
-    }
-
-    /// Least model of the reduct; compares against the candidate. On failure
-    /// records the unfounded set into `unfounded_out`.
-    bool stable(std::vector<int>& unfounded_out) const {
-        if (fault::should_fail("asp.solver.stability")) {
-            throw Error("solver: injected fault in stability check (site asp.solver.stability)");
-        }
-        const int n_atoms = static_cast<int>(program_.atom_count());
-        std::vector<char> derived(static_cast<std::size_t>(n_atoms), false);
-        bool progressed = true;
-        while (progressed) {
-            progressed = false;
-            // Account the round against the shared budget. A trip is sticky:
-            // the check itself runs to completion (it is polynomial), and the
-            // search stops at the next decision point.
-            if (options_.budget != nullptr) {
-                options_.budget->charge_steps(program_.rules().size());
-            }
-            for (const GroundRule& rule : program_.rules()) {
-                if (rule.kind == GroundRule::Kind::Constraint) continue;
-                // Reduct keeps the rule if no negative literal is in the model.
-                bool neg_ok = true;
-                for (int n : rule.negative_body) {
-                    if (assign_[static_cast<std::size_t>(n)] > 0) {
-                        neg_ok = false;
-                        break;
-                    }
-                }
-                if (!neg_ok) continue;
-                bool pos_ok = true;
-                for (int p : rule.positive_body) {
-                    if (!derived[static_cast<std::size_t>(p)]) {
-                        pos_ok = false;
-                        break;
-                    }
-                }
-                if (!pos_ok) continue;
-                if (rule.kind == GroundRule::Kind::Normal) {
-                    if (!derived[static_cast<std::size_t>(rule.head)]) {
-                        derived[static_cast<std::size_t>(rule.head)] = true;
-                        progressed = true;
-                    }
-                } else {  // Choice: chosen atoms are self-supported.
-                    for (int h : rule.choice_heads) {
-                        if (assign_[static_cast<std::size_t>(h)] > 0 &&
-                            !derived[static_cast<std::size_t>(h)]) {
-                            derived[static_cast<std::size_t>(h)] = true;
-                            progressed = true;
-                        }
-                    }
-                }
-            }
-        }
-        unfounded_out.clear();
-        for (int a = 0; a < n_atoms; ++a) {
-            if (assign_[static_cast<std::size_t>(a)] > 0 && !derived[static_cast<std::size_t>(a)]) {
-                unfounded_out.push_back(a);
-            }
-        }
-        return unfounded_out.empty();
-    }
-
-    /// Loop-formula cut for an unfounded set U: some atom of U is false, or
-    /// some external supporting body (head in U, positive body disjoint from
-    /// U) is true. Valid in every answer set; falsified by the current model.
-    void add_unfounded_cut(const std::vector<int>& unfounded) {
-        const int n_atoms = static_cast<int>(program_.atom_count());
-        std::set<int> u(unfounded.begin(), unfounded.end());
-        std::vector<int> clause;
-        clause.reserve(unfounded.size() + 4);
-        for (int a : unfounded) clause.push_back(neg_lit(a));
-        for (std::size_t r = 0; r < program_.rules().size(); ++r) {
-            const GroundRule& rule = program_.rules()[r];
-            bool head_in_u = false;
-            if (rule.kind == GroundRule::Kind::Normal) {
-                head_in_u = u.count(rule.head) > 0;
-            } else if (rule.kind == GroundRule::Kind::Choice) {
-                for (int h : rule.choice_heads) {
-                    if (u.count(h) > 0) {
-                        head_in_u = true;
-                        break;
-                    }
-                }
-            }
-            if (!head_in_u) continue;
-            bool external = true;
-            for (int p : rule.positive_body) {
-                if (u.count(p) > 0) {
-                    external = false;
-                    break;
-                }
-            }
-            if (external) clause.push_back(pos_lit(n_atoms + static_cast<int>(r)));
-        }
-        add_clause(std::move(clause));
-    }
-
-    // --- costs ---------------------------------------------------------------
-
-    std::map<long long, long long> model_cost() const {
-        // Distinct (priority, tuple) pairs counted once.
-        std::map<long long, long long> cost;
-        std::set<std::pair<long long, std::string>> counted;
-        for (const GroundWeak& w : program_.weaks()) {
-            bool holds = true;
-            for (int p : w.positive_body) {
-                if (assign_[static_cast<std::size_t>(p)] <= 0) {
-                    holds = false;
-                    break;
-                }
-            }
-            for (int n : w.negative_body) {
-                if (assign_[static_cast<std::size_t>(n)] > 0) {
-                    holds = false;
-                    break;
-                }
-            }
-            if (!holds) continue;
-            if (!counted.insert({w.priority, w.tuple}).second) continue;
-            cost[w.priority] += w.weight;
-        }
-        return cost;
-    }
-
-    /// Lower bound of the final cost from weak bodies already fully true.
-    std::map<long long, long long> partial_cost_lower_bound() const {
-        std::map<long long, long long> cost;
-        std::set<std::pair<long long, std::string>> counted;
-        for (const GroundWeak& w : program_.weaks()) {
-            bool definitely = true;
-            for (int p : w.positive_body) {
-                if (assign_[static_cast<std::size_t>(p)] <= 0) {
-                    definitely = false;
-                    break;
-                }
-            }
-            for (int n : w.negative_body) {
-                if (assign_[static_cast<std::size_t>(n)] >= 0) {
-                    definitely = false;
-                    break;
-                }
-            }
-            if (!definitely) continue;
-            if (!counted.insert({w.priority, w.tuple}).second) continue;
-            cost[w.priority] += w.weight;
-        }
-        return cost;
-    }
-
-    /// Lexicographic (descending priority) comparison: true if a < b.
-    static bool cost_less(const std::map<long long, long long>& a,
-                          const std::map<long long, long long>& b) {
-        auto ia = a.rbegin();
-        auto ib = b.rbegin();
-        while (ia != a.rend() || ib != b.rend()) {
-            const long long pa = ia != a.rend() ? ia->first : std::numeric_limits<long long>::min();
-            const long long pb = ib != b.rend() ? ib->first : std::numeric_limits<long long>::min();
-            long long va = 0;
-            long long vb = 0;
-            long long priority = 0;
-            if (pa > pb) {
-                priority = pa;
-                va = ia->second;
-                ++ia;
-            } else if (pb > pa) {
-                priority = pb;
-                vb = ib->second;
-                ++ib;
-            } else {
-                priority = pa;
-                va = ia->second;
-                vb = ib->second;
-                ++ia;
-                ++ib;
-            }
-            (void)priority;
-            if (va != vb) return va < vb;
-        }
-        return false;
-    }
-
-    bool should_prune_by_cost() const {
-        if (!has_weaks_ || !options_.optimize || negative_weights_) return false;
-        if (!have_best_) return false;
-        const auto bound = partial_cost_lower_bound();
-        // Prune only if the lower bound already exceeds the best cost.
-        return cost_less(best_cost_, bound);
-    }
-
-    // --- search ------------------------------------------------------------------
-
-    void record_model() {
-        ++stats_.models_enumerated;
-        AnswerSet model;
-        model.cost = model_cost();
-        for (int a = 0; a < static_cast<int>(program_.atom_count()); ++a) {
-            if (assign_[static_cast<std::size_t>(a)] > 0 && program_.is_shown(a)) {
-                model.atoms.push_back(program_.atom(a));
-            }
-        }
-        std::sort(model.atoms.begin(), model.atoms.end());
-        if (has_weaks_ && options_.optimize) {
-            if (!have_best_ || cost_less(model.cost, best_cost_)) {
-                best_cost_ = model.cost;
-                have_best_ = true;
-            }
-        }
-        found_.push_back(std::move(model));
-    }
-
-    bool model_limit_reached() const {
-        // With optimization we cannot stop early on a model budget, since a
-        // later model may beat the current best.
-        if (has_weaks_ && options_.optimize) return false;
-        return options_.max_models != 0 && found_.size() >= options_.max_models;
-    }
-
-    int pick_unassigned() const {
-        for (int v : order_) {
-            if (unassigned(v)) return v;
-        }
-        return -1;
-    }
-
-    /// Depth-first enumeration; returns false to stop the search (model
-    /// limit reached, or a resource budget tripped — see interrupt_reason_).
-    bool search() {
-        if (!propagate_all()) return true;
-        if (should_prune_by_cost()) return true;
-
-        const int var = pick_unassigned();
-        if (var < 0) {  // total assignment
-            if (!bounds_ok()) return true;
-            if (!aggregates_ok()) return true;
-            std::vector<int> unfounded;
-            if (!stable(unfounded)) {
-                ++stats_.stability_rejects;
-                add_unfounded_cut(unfounded);
-                return true;
-            }
-            record_model();
-            return !model_limit_reached();
-        }
-
-        ++stats_.decisions;
-        if (options_.max_decisions != 0 && stats_.decisions > options_.max_decisions) {
-            interrupt_reason_ = BudgetReason::DecisionLimit;
-            return false;
-        }
-        if (options_.budget != nullptr) {
-            if (auto exceeded = options_.budget->charge_decisions()) {
-                interrupt_reason_ = exceeded->reason;
-                return false;
-            }
-        }
-
-        for (const int lit : {neg_lit(var), pos_lit(var)}) {
-            const std::size_t mark = trail_.size();
-            if (assign_literal(lit)) {
-                if (!search()) {
-                    unassign_to(mark);
-                    return false;
-                }
-            } else {
-                ++stats_.conflicts;
-            }
-            unassign_to(mark);
-        }
-        return true;
-    }
-
-    struct Clause {
-        std::vector<int> lits;
-        int true_count = 0;
-        int unassigned = 0;
-    };
-
-    const GroundProgram& program_;
-    const SolveOptions& options_;
-
-    int n_vars_ = 0;
-    std::vector<Clause> clauses_;
-    std::vector<std::vector<int>> occurrences_;  // literal -> clause ids
-    std::vector<int> order_;
-    std::vector<int8_t> assign_;
-    std::vector<int> trail_;
-    std::vector<int> units_;
-    std::vector<int> bounded_choices_;
-    std::vector<int> aggregate_constraints_;
-    bool pending_clause_ = false;
-    bool consistent_ = true;
-    bool has_weaks_ = false;
-    bool negative_weights_ = false;
-
-    std::vector<AnswerSet> found_;
-    std::map<long long, long long> best_cost_;
-    bool have_best_ = false;
-    SolveStats stats_;
-    std::optional<BudgetReason> interrupt_reason_;
-};
-
-}  // namespace
-
 Result<SolveResult> solve(const GroundProgram& program, const SolveOptions& options) {
     if (fault::should_fail("asp.solver.solve")) {
         return Result<SolveResult>::failure("solver: injected fault (site asp.solver.solve)");
@@ -767,18 +61,12 @@ Result<SolveResult> solve(const GroundProgram& program, const SolveOptions& opti
     obs::Span span(options.trace, "asp.solve", "solve");
     try {
         SolveResult solved;
-        if (options.engine == SolverEngine::Cdcl) {
-            if (options.incremental != nullptr &&
-                options.incremental->program() == &program) {
-                // Warm path: reuse the built completion and retained clauses.
-                solved = options.incremental->solve(options);
-            } else {
-                CdclSolver solver(program);
-                solved = solver.solve(options);
-            }
+        if (options.incremental != nullptr && options.incremental->program() == &program) {
+            // Warm path: reuse the built completion and retained clauses.
+            solved = options.incremental->solve(options);
         } else {
-            SolverImpl solver(program, options);
-            solved = solver.run();
+            CdclSolver solver(program);
+            solved = solver.solve(options);
         }
         const SolveStats& stats = solved.stats;
         span.arg("decisions", static_cast<long long>(stats.decisions));

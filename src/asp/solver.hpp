@@ -1,21 +1,21 @@
 // cprisk/asp/solver.hpp
 //
-// Stable-model (answer set) solver over ground programs. The algorithm is
-// classic completion-based search:
+// Stable-model (answer set) solver over ground programs (docs/solver.md).
+// The front door to the CDCL engine (cdcl.hpp):
 //
 //  1. Clark completion: one auxiliary variable per ground rule body; clauses
 //     tie bodies to their literals, heads to their bodies, and every atom to
 //     the disjunction of its potentially supporting bodies.
-//  2. DPLL search with counter-based unit propagation enumerates supported
-//     models.
+//  2. Conflict-driven clause learning enumerates supported models.
 //  3. Each supported model passes a stability check (least model of the
 //     reduct == true atoms). Unstable models are cut with a loop-formula
 //     style clause over the unfounded set, which is valid for every answer
 //     set, so no stable model is lost.
-//  4. Choice-rule cardinality bounds are verified on total assignments.
-//  5. Weak constraints are aggregated per priority (distinct tuples counted
-//     once, clingo-style); branch & bound prunes when all weights are
-//     non-negative.
+//  4. Choice-rule cardinality bounds propagate during search and are
+//     verified on total assignments.
+//  5. Weak constraints are aggregated per priority (each distinct
+//     weight/priority/tuple counted once, clingo-style); branch & bound
+//     prunes when all weights are non-negative.
 #pragma once
 
 #include <cstddef>
@@ -34,20 +34,6 @@
 
 namespace cprisk::asp {
 
-/// Search engine selection (docs/solver.md). Both engines enumerate the
-/// same projected answer sets, costs, and optima — differential-tested —
-/// and differ only in search strategy and SolveStats:
-///
-///  - Cdcl (default): two-watched-literal propagation, 1UIP conflict
-///    analysis with clause learning, EVSIDS decision heuristic with phase
-///    saving, Luby restarts, and LBD-based learned-clause reduction. Under
-///    an IncrementalSolver (incremental.hpp), entailed learned clauses
-///    persist across solves on the same ground program.
-///  - Dpll: the original counter-based chronological search, retained as
-///    the escape hatch (`cprisk assess --solver dpll`) and as the
-///    differential-testing reference.
-enum class SolverEngine { Cdcl, Dpll };
-
 class IncrementalSolver;  // incremental.hpp
 
 /// One answer set, projected onto the #show signatures.
@@ -65,15 +51,11 @@ struct AnswerSet {
 };
 
 struct SolveOptions {
-    /// Search engine (docs/solver.md). Cdcl is the default; Dpll is the
-    /// differential reference and CLI escape hatch. Both produce identical
-    /// projected answer sets, costs, and optima.
-    SolverEngine engine = SolverEngine::Cdcl;
-    /// Optional warm solver (Cdcl only; borrowed, caller synchronizes). When
-    /// set and bound to the same ground program, the solve reuses the already
-    /// built completion and every entailed clause learned by earlier solves
-    /// instead of rebuilding from scratch. Ignored by the Dpll engine; a
-    /// program mismatch falls back to a cold solve.
+    /// Optional warm solver (borrowed, caller synchronizes). When set and
+    /// bound to the same ground program, the solve reuses the already built
+    /// completion and every entailed clause learned by earlier solves
+    /// instead of rebuilding from scratch. A program mismatch falls back to
+    /// a cold solve.
     IncrementalSolver* incremental = nullptr;
     /// Stop after this many (projected, distinct) models; 0 = no limit.
     std::size_t max_models = 0;
@@ -100,7 +82,7 @@ struct SolveOptions {
     std::vector<std::pair<int, bool>> assumptions;
     /// Observability (docs/observability.md): one "asp.solve" span per call
     /// plus asp.solve.* counters recorded from the final SolveStats — the
-    /// DPLL inner loop is never instrumented. Both borrowed; nullptr
+    /// search inner loop is never instrumented. Both borrowed; nullptr
     /// disables. Usually threaded from RunContext by the caller.
     obs::TraceSink* trace = nullptr;
     obs::MetricsRegistry* metrics = nullptr;
@@ -112,9 +94,9 @@ struct SolveStats {
     std::size_t conflicts = 0;
     std::size_t stability_rejects = 0;
     std::size_t models_enumerated = 0;  ///< pre-projection, pre-optimality filter
-    // CDCL-only fields (always 0 under the Dpll engine). Deliberately NOT
-    // serialized into journal verdicts, so journals written under either
-    // engine stay byte-identical and resumable across engines.
+    // Search-internal fields. Deliberately NOT serialized into journal
+    // verdicts (core/journal.cpp records only the five counters above), so
+    // the journal format stays independent of learning and restart policy.
     std::size_t restarts = 0;         ///< Luby restarts performed
     std::size_t learned_clauses = 0;  ///< clauses learned this solve
     std::size_t learned_literals = 0; ///< total literals across learned clauses
@@ -145,12 +127,12 @@ struct SolveResult {
     /// Set when the search stopped early (budget/deadline/cancellation); the
     /// models above are then a partial enumeration.
     std::optional<SolveInterrupt> interrupt;
-    /// CDCL only: when the program is UNSAT under `options.assumptions` and
+    /// When the program is UNSAT under `options.assumptions` and
     /// the search completed, the subset of assumptions that participated in
     /// the final conflict (MiniSat's analyzeFinal). Any assignment extending
     /// this core is also unsatisfiable, so over scenario-fault pins a core is
     /// a hazardous sub-scenario (frontier seeding, docs/exhaustive-search.md).
-    /// Unset for SAT results, interrupted searches, and the Dpll engine.
+    /// Unset for SAT results and interrupted searches.
     std::optional<std::vector<std::pair<int, bool>>> assumption_core;
 
     /// True when the search ran to completion (result is exhaustive).

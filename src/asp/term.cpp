@@ -108,7 +108,12 @@ std::string Term::to_string() const {
             if (args_.size() == 2 &&
                 (name_ == "+" || name_ == "-" || name_ == "*" || name_ == "/" ||
                  name_ == "mod" || name_ == "..")) {
-                return "(" + args_[0].to_string() + name_ + args_[1].to_string() + ")";
+                std::string out = "(";
+                out += args_[0].to_string();
+                out += name_;
+                out += args_[1].to_string();
+                out += ')';
+                return out;
             }
             std::string out = name_ + "(";
             for (std::size_t i = 0; i < args_.size(); ++i) {

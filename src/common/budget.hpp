@@ -3,7 +3,7 @@
 // Cooperative resource governance for the solve path. Exhaustive hazard
 // identification (paper step 4) must be *bounded and interruptible* at
 // production scale: a Budget carries a wall-clock deadline, a decision quota
-// for the DPLL search and a step quota for fixpoint-style loops (grounding,
+// for the CDCL search and a step quota for fixpoint-style loops (grounding,
 // stability checking), plus an externally triggerable CancelToken. The loops
 // charge work units against the budget; once any limit trips, every further
 // charge reports the same structured BudgetExceeded, so a deep call stack

@@ -56,7 +56,12 @@ std::string Value::serialize() const {
         case Kind::Null: return "null";
         case Kind::Bool: return bool_ ? "true" : "false";
         case Kind::Int: return std::to_string(int_);
-        case Kind::String: return "\"" + escape(string_) + "\"";
+        case Kind::String: {
+            std::string out = "\"";
+            out += escape(string_);
+            out += '"';
+            return out;
+        }
         case Kind::Array: {
             std::string out = "[";
             for (std::size_t i = 0; i < array_.size(); ++i) {
@@ -69,7 +74,10 @@ std::string Value::serialize() const {
             std::string out = "{";
             for (std::size_t i = 0; i < object_.size(); ++i) {
                 if (i > 0) out += ",";
-                out += "\"" + escape(object_[i].first) + "\":" + object_[i].second.serialize();
+                out += '"';
+                out += escape(object_[i].first);
+                out += "\":";
+                out += object_[i].second.serialize();
             }
             return out + "}";
         }

@@ -8,8 +8,9 @@
 // major value the schemas are strictly additive — existing keys never change
 // meaning or type and never disappear, new keys may appear anywhere. The
 // value is bumped exactly when a key is removed or its meaning changes, and
-// the release notes carry a migration note (the `HardeningResult` pattern:
-// one release of deprecated coexistence, then removal).
+// the release notes carry a migration note. Removed C++ API follows the same
+// pattern: one release of deprecated coexistence, then removal (as with
+// `HardeningResult`, docs/quantitative-risk.md).
 #pragma once
 
 namespace cprisk {

@@ -27,6 +27,12 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
     return out;
 }
 
+std::string numbered(std::string_view prefix, long long n) {
+    std::string out(prefix);
+    out += std::to_string(n);
+    return out;
+}
+
 std::string_view trim(std::string_view text) {
     while (!text.empty() && std::isspace(static_cast<unsigned char>(text.front()))) {
         text.remove_prefix(1);

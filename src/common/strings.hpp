@@ -21,6 +21,11 @@ std::string_view trim(std::string_view text);
 /// True if `text` begins with `prefix`.
 bool starts_with(std::string_view text, std::string_view prefix);
 
+/// `prefix` followed by the decimal `n` ("c", 3 -> "c3"), the generated-id
+/// idiom. Prefer it to `"c" + std::to_string(n)`, which GCC 12 misreports
+/// under -Wrestrict when optimizing.
+std::string numbered(std::string_view prefix, long long n);
+
 /// Lower-cases ASCII letters.
 std::string to_lower(std::string_view text);
 

@@ -292,7 +292,6 @@ Result<AssessmentReport> RiskAssessment::run(const AssessmentConfig& config,
         epa_options.horizon = config.horizon;
         epa_options.max_decisions = config.max_decisions;
         epa_options.static_prefilter = config.static_prefilter;
-        epa_options.solver = config.solver;
         epa_options.ctx = &ctx;
         auto frontier_epa = epa::ErrorPropagationAnalysis::create(
             *system_, behavioral_requirements_, *mitigations_, epa_options);
@@ -383,7 +382,6 @@ Result<AssessmentReport> RiskAssessment::run(const AssessmentConfig& config,
         hierarchy::CegarOptions cegar_options;
         cegar_options.max_decisions = config.max_decisions;
         cegar_options.static_prefilter = config.static_prefilter;
-        cegar_options.solver = config.solver;
         cegar_options.ctx = &ctx;
         cegar_options.hooks = hooks;
 

@@ -69,15 +69,9 @@ struct AssessmentConfig {
     std::size_t max_decisions = 0;   ///< per-solve decision cap (0 = solver default)
     /// Static ternary prefilter over the EPA ground-once cache
     /// (docs/static-analysis.md). Never changes verdicts — only whether the
-    /// DPLL solver runs for statically decidable scenarios — so, like
+    /// CDCL solver runs for statically decidable scenarios — so, like
     /// `jobs`, it is excluded from the journal's config echo.
     bool static_prefilter = true;
-    /// Scenario-solve search engine (`--solver`, docs/solver.md). Both
-    /// engines produce identical verdicts, reports, and journal bytes —
-    /// differential-tested — so, like `static_prefilter`, the choice is
-    /// excluded from the journal's config echo and a journal written under
-    /// one engine resumes under the other.
-    asp::SolverEngine solver = asp::SolverEngine::Cdcl;
     std::optional<CancelToken> cancel;  ///< external cancellation
     /// Bounded retry for transient Undetermined{solver_error} verdicts
     /// (docs/serve.md): applied to ctx.retry.max_retries at the start of
@@ -203,7 +197,7 @@ struct AssessmentReport {
     std::size_t total_decisions = 0;    ///< solver effort across all scenarios
     std::size_t total_conflicts = 0;
     /// Scenarios whose final verdict came from the static ternary prefilter
-    /// instead of a DPLL solve (docs/static-analysis.md).
+    /// instead of a CDCL solve (docs/static-analysis.md).
     std::size_t statically_resolved = 0;
     // Step 6.
     std::vector<ScenarioRisk> risks;  ///< sorted by descending risk

@@ -522,11 +522,11 @@ Result<ScenarioVerdict> ErrorPropagationAnalysis::evaluate_once(
 
         if (options_.static_prefilter && grounded_base_->analysis_ok &&
             !fault::should_fail("epa.absint.prefilter")) {
-            // An injected prefilter fault degrades to the DPLL path below —
+            // An injected prefilter fault degrades to the solver path below —
             // the verdict is identical, only provenance changes.
             // Static prefilter: rerun the cheap ternary propagation with the
             // scenario's assumptions pinned. When the fixpoint certifies a
-            // unique answer set, the verdict is emitted without any DPLL
+            // unique answer set, the verdict is emitted without any CDCL
             // search — byte-identical to what the solver would report.
             obs::Span prefilter_span(options_.trace_sink(), "epa.absint_prefilter", "scenario",
                                      scenario.id);
@@ -555,7 +555,7 @@ Result<ScenarioVerdict> ErrorPropagationAnalysis::evaluate_once(
             }
             obs::add_counter(options_.metrics_sink(), "epa.absint.static_unknown");
             // A trip that lands mid-prefilter aborts the fixpoint before it
-            // can certify. Falling through to DPLL here would complete the
+            // can certify. Falling through to the solver would complete the
             // scenario with solver provenance — a timing artifact a clean
             // rerun would not reproduce — so the scenario degrades to
             // Undetermined and a resume re-evaluates it.
@@ -572,7 +572,6 @@ Result<ScenarioVerdict> ErrorPropagationAnalysis::evaluate_once(
         }
 
         asp::SolveOptions solve_options;
-        solve_options.engine = options_.solver;
         if (options_.max_decisions != 0) solve_options.max_decisions = options_.max_decisions;
         solve_options.budget = options_.effective_budget();
         solve_options.trace = options_.trace_sink();
@@ -582,8 +581,7 @@ Result<ScenarioVerdict> ErrorPropagationAnalysis::evaluate_once(
         // the completion is built once and entailed clauses learned by
         // earlier scenarios short-circuit this one's search.
         std::optional<asp::SolverPool::Lease> lease;
-        if (options_.solver == asp::SolverEngine::Cdcl &&
-            grounded_base_->solver_pool != nullptr) {
+        if (grounded_base_->solver_pool != nullptr) {
             lease.emplace(grounded_base_->solver_pool->acquire());
             solve_options.incremental = lease->solver();
         }
@@ -611,7 +609,6 @@ Result<ScenarioVerdict> ErrorPropagationAnalysis::evaluate_once(
 
     asp::PipelineOptions pipeline;
     pipeline.horizon = options_.horizon;
-    pipeline.solve.engine = options_.solver;
     if (options_.max_decisions != 0) pipeline.solve.max_decisions = options_.max_decisions;
     pipeline.solve.budget = options_.effective_budget();
     pipeline.solve.trace = options_.trace_sink();
@@ -806,10 +803,9 @@ std::optional<std::vector<Mutation>> ErrorPropagationAnalysis::hazard_core(
     }
     obs::Span span(options_.trace_sink(), "epa.hazard_core", "scenario", scenario.id);
     asp::SolveOptions solve_options;
-    // Always a cold CDCL solve: cores require analyzeFinal (Dpll has none),
-    // and bypassing the warm pool keeps probe-side learning out of the
-    // scenario solvers, whose per-solve stats land in journals and reports.
-    solve_options.engine = asp::SolverEngine::Cdcl;
+    // Always a cold solve: bypassing the warm pool keeps probe-side learning
+    // out of the scenario solvers, whose per-solve stats land in journals
+    // and reports.
     solve_options.max_models = 1;
     solve_options.optimize = false;
     if (options_.max_decisions != 0) solve_options.max_decisions = options_.max_decisions;

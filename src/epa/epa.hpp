@@ -91,7 +91,7 @@ enum class UndeterminedReason : std::uint8_t {
 
 /// How a verdict was established. `Static` verdicts were decided by the
 /// ternary abstract interpreter (asp/absint) certifying the unique answer
-/// set without running the DPLL search; they are byte-identical to the
+/// set without running the CDCL search; they are byte-identical to the
 /// verdict the solver would have produced (docs/static-analysis.md).
 enum class VerdictProvenance : std::uint8_t { Solver, Static };
 
@@ -126,7 +126,7 @@ struct ScenarioVerdict {
     /// Search effort for this scenario (decisions, conflicts, ...). All
     /// zeros for statically resolved verdicts.
     asp::SolveStats solver_stats;
-    /// Whether the DPLL solver or the static prefilter produced the verdict.
+    /// Whether the CDCL solver or the static prefilter produced the verdict.
     VerdictProvenance provenance = VerdictProvenance::Solver;
 
     bool violates(const std::string& requirement_id) const;
@@ -158,16 +158,10 @@ struct EpaOptions {
     /// Ternary abstract-interpretation prefilter over the ground-once cache
     /// (asp/absint, docs/static-analysis.md): pin a scenario's assumption
     /// domain, rerun the cheap propagation, and emit the verdict without the
-    /// DPLL search whenever the fixpoint certifies a unique answer set.
+    /// CDCL search whenever the fixpoint certifies a unique answer set.
     /// Verdicts are identical either way; only `provenance` differs. Only
     /// effective on the cached (ground_once) path.
     bool static_prefilter = true;
-    /// Search engine for scenario solves (docs/solver.md). Both engines
-    /// produce identical verdicts; Cdcl additionally leases warm solvers
-    /// from the ground-once base so entailed clauses learned by one
-    /// scenario's search carry over to the next. Dpll is the escape hatch
-    /// (`cprisk assess --solver dpll`) and the differential reference.
-    asp::SolverEngine solver = asp::SolverEngine::Cdcl;
 
     /// Resolved views over the run context (single reading site each).
     Budget* effective_budget() const { return ctx != nullptr ? &ctx->budget : nullptr; }

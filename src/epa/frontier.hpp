@@ -17,7 +17,7 @@
 //
 // Layers run through the existing machinery: the GroundedBase cache pins
 // each subset via assumptions, the absint prefilter decides statically
-// certifiable candidates without a DPLL search, and the layer's candidates
+// certifiable candidates without a CDCL search, and the layer's candidates
 // fan out over the RunContext's work-stealing pool. Finished candidates
 // drain to the journal hooks in strict candidate order (the run_cegar
 // idiom), so --exhaustive journals resume byte-identically at any job

@@ -162,7 +162,6 @@ Result<CegarResult> run_cegar(const std::vector<CegarStage>& stages,
         epa_options.horizon = stage.horizon;
         epa_options.max_decisions = options.max_decisions;
         epa_options.static_prefilter = options.static_prefilter;
-        epa_options.solver = options.solver;
         epa_options.ctx = options.ctx;
         auto epa = epa::ErrorPropagationAnalysis::create(*stage.model, stage.requirements,
                                                          mitigations, epa_options);

@@ -111,9 +111,6 @@ struct CegarOptions {
     /// Forwarded to every stage's EpaOptions::static_prefilter
     /// (docs/static-analysis.md).
     bool static_prefilter = true;
-    /// Forwarded to every stage's EpaOptions::solver (docs/solver.md).
-    /// Verdict-neutral: both engines produce identical records.
-    asp::SolverEngine solver = asp::SolverEngine::Cdcl;
     /// Unified run state: budget, worker pool, trace sink, metrics registry
     /// (obs/run_context.hpp). Borrowed; must outlive the run. Worker lanes
     /// come from ctx->jobs (0 = hardware concurrency, 1 = the sequential

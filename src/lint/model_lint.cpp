@@ -81,8 +81,9 @@ void check_component_refs(const Atom& atom, const model::SystemModel& model, int
         if (!arg.is_symbol() || model.has_component(arg.name())) continue;
         SourceLoc shifted;
         if (loc.valid()) shifted = SourceLoc{loc.line + line_offset, loc.column};
+        const std::string text = atom.to_string();
         sink.error("model-unknown-component-ref",
-                   "'" + atom.to_string() + "' references unknown component '" + arg.name() + "'",
+                   "'" + text + "' references unknown component '" + arg.name() + "'",
                    shifted, "declare 'component " + arg.name() + " ...' or fix the identifier");
     }
 }

@@ -318,25 +318,6 @@ ParetoFront pareto_front_exact(const MitigationProblem& problem,
     return ParetoFront(std::move(points));
 }
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-HardeningResult harden(const MitigationProblem& problem, const OptimizerOptions& options) {
-    const ParetoFront front = pareto_front_exact(problem, options);
-    HardeningResult result;
-    if (front.empty()) return result;
-    result.selection = front.knee().selection;
-    long long floor = std::numeric_limits<long long>::max();
-    for (const Threat& threat : problem.threats) {
-        if (MitigationProblem::blocks(threat, result.selection.chosen)) continue;
-        if (threat.attack_cost > 0) floor = std::min(floor, threat.attack_cost);
-    }
-    if (floor != std::numeric_limits<long long>::max()) {
-        result.cheapest_remaining_attack = floor;
-    }
-    return result;
-}
-#pragma GCC diagnostic pop
-
 AttackFloorResult harden_attack_cost(const MitigationProblem& problem, long long budget) {
     const std::size_t n = problem.candidates.size();
     std::vector<std::string> chosen;

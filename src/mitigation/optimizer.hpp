@@ -79,8 +79,7 @@ public:
 
     /// The recommended single plan: minimum total cost (mitigation +
     /// residual), ties toward higher coverage, then the lexicographically
-    /// smallest chosen set. The deprecated HardeningResult shim reports
-    /// exactly this point. Requires a non-empty front.
+    /// smallest chosen set. Requires a non-empty front.
     const ParetoPoint& knee() const;
 
 private:
@@ -119,25 +118,6 @@ struct AttackFloorResult {
 };
 
 AttackFloorResult harden_attack_cost(const MitigationProblem& problem, long long budget);
-
-/// DEPRECATED one-release shim (the PR 6 deprecation pattern; removal next
-/// release — see docs/quantitative-risk.md for the migration note). The
-/// pre-Pareto single-plan surface: `selection` is exactly
-/// `pareto_front_exact(problem).knee().selection`, and
-/// `cheapest_remaining_attack` is the attack-cost floor that plan leaves
-/// open. New code should consume mitigation::ParetoFront directly.
-struct [[deprecated(
-    "single-plan hardening is superseded by mitigation::ParetoFront; "
-    "use pareto_front(problem) and take front.knee()")]] HardeningResult {
-    Selection selection;
-    std::optional<long long> cheapest_remaining_attack;
-};
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-[[deprecated("use pareto_front(problem) and take front.knee()")]] HardeningResult harden(
-    const MitigationProblem& problem, const OptimizerOptions& options = {});
-#pragma GCC diagnostic pop
 
 /// Multi-phase security consolidation (paper §IV-D: "a multi-phase strategy
 /// where the actions can be prioritized"): repeatedly solve under the

@@ -138,32 +138,27 @@ SecurityCatalog SecurityCatalog::standard_ics() {
 
     catalog.add_vulnerability(Vulnerability{
         "V-MAIL-1", "W-PHISH", "email_client", "", 6.5, "phishing_link_opened",
-        "Spam filter bypass allows crafted links to reach users."});
-    {
-        Vulnerability v{"V-BROWSER-1", "W-RCE", "web_browser", "98.0", 8.8,
-                        "malware_download",
-                        "Drive-by download in outdated browser version.", ""};
-        v.cvss_vector = "CVSS:3.1/AV:N/AC:L/PR:N/UI:R/S:U/C:H/I:H/A:H";  // 8.8
-        catalog.add_vulnerability(std::move(v));
-    }
+        "Spam filter bypass allows crafted links to reach users.", ""});
+    catalog.add_vulnerability(Vulnerability{
+        "V-BROWSER-1", "W-RCE", "web_browser", "98.0", 8.8, "malware_download",
+        "Drive-by download in outdated browser version.",
+        "CVSS:3.1/AV:N/AC:L/PR:N/UI:R/S:U/C:H/I:H/A:H"});  // 8.8
     catalog.add_vulnerability(Vulnerability{
         "V-WS-1", "W-RCE", "engineering_workstation", "", 9.1, "infected",
-        "SMB service exploitable for remote code execution."});
-    {
-        Vulnerability v{"V-PLC-1", "W-AUTH", "plc", "", 9.8, "logic_tampered",
-                        "Ladder logic writable without authentication.", ""};
-        v.cvss_vector = "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H";  // 9.8
-        catalog.add_vulnerability(std::move(v));
-    }
+        "SMB service exploitable for remote code execution.", ""});
+    catalog.add_vulnerability(Vulnerability{
+        "V-PLC-1", "W-AUTH", "plc", "", 9.8, "logic_tampered",
+        "Ladder logic writable without authentication.",
+        "CVSS:3.1/AV:N/AC:L/PR:N/UI:N/S:U/C:H/I:H/A:H"});  // 9.8
     catalog.add_vulnerability(Vulnerability{
         "V-NET-1", "W-PROTO", "control_network", "", 7.4, "intrusion",
-        "Unencrypted fieldbus allows command injection from the network."});
+        "Unencrypted fieldbus allows command injection from the network.", ""});
     catalog.add_vulnerability(Vulnerability{
         "V-HMI-1", "W-AUTH", "hmi", "", 6.1, "no_signal",
-        "Display server crashable by malformed packets (alarm suppression)."});
+        "Display server crashable by malformed packets (alarm suppression).", ""});
     catalog.add_vulnerability(Vulnerability{
         "V-VCTRL-1", "W-PROTO", "valve_controller", "", 7.0, "wrong_command",
-        "Spoofed setpoint frames accepted by the valve controller."});
+        "Spoofed setpoint frames accepted by the valve controller.", ""});
 
     catalog.add_pattern(AttackPattern{
         "P-SPEARPHISH", "Spearphishing Attachment", {"W-PHISH"},

@@ -4,6 +4,8 @@
 #include <functional>
 #include <set>
 
+#include "common/strings.hpp"
+
 namespace cprisk::security {
 
 using model::ComponentId;
@@ -37,7 +39,7 @@ ScenarioSpace ScenarioSpace::build(const model::SystemModel& model, const Attack
                                    const SecurityCatalog* catalog) {
     ScenarioSpace space;
     int next_id = 1;
-    auto make_id = [&next_id]() { return "S" + std::to_string(next_id++); };
+    auto make_id = [&next_id]() { return numbered("S", next_id++); };
 
     if (options.include_fault_combinations) {
         // Collect the mutation universe with per-mutation likelihoods.
@@ -102,7 +104,10 @@ ScenarioSpace ScenarioSpace::build(const model::SystemModel& model, const Attack
                         std::unique(scenario.mutations.begin(), scenario.mutations.end()),
                         scenario.mutations.end());
                     std::string key = actor.id;
-                    for (const Mutation& m : scenario.mutations) key += "|" + m.to_string();
+                    for (const Mutation& m : scenario.mutations) {
+                        key += '|';
+                        key += m.to_string();
+                    }
                     if (!seen.insert(key).second) continue;
                     scenario.likelihood = combined_likelihood(likelihoods);
                     scenario.id = make_id();

@@ -139,9 +139,15 @@ TEST(TaintWatertankTest, IdentifiesTheWorkstationReachableSet) {
     // The HMI and the engineering workstation carry directly-activatable
     // declared faults (alarm suppression / malware infection).
     for (const AttackEntryPoint& entry : result.entry_points) {
-        if (entry.component == "hmi") EXPECT_EQ(entry.activated_fault, "no_signal");
-        if (entry.component == "workstation") EXPECT_EQ(entry.activated_fault, "infected");
-        if (entry.component == "tank_ctrl") EXPECT_TRUE(entry.activated_fault.empty());
+        if (entry.component == "hmi") {
+            EXPECT_EQ(entry.activated_fault, "no_signal");
+        }
+        if (entry.component == "workstation") {
+            EXPECT_EQ(entry.activated_fault, "infected");
+        }
+        if (entry.component == "tank_ctrl") {
+            EXPECT_TRUE(entry.activated_fault.empty());
+        }
     }
 }
 

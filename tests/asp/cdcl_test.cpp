@@ -1,6 +1,7 @@
-// CDCL engine behaviour (docs/solver.md): engine-vs-engine agreement on
-// hand-picked programs, assumption handling and UNSAT cores, persistent
-// incremental solving, the learning fault seam, and the solver pool.
+// CDCL engine behaviour (docs/solver.md): agreement with the brute-force
+// reference (reference_solver.hpp) on hand-picked programs, assumption
+// handling and UNSAT cores, persistent incremental solving, the learning
+// fault seam, and the solver pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,8 @@
 #include "asp/cdcl.hpp"
 #include "asp/incremental.hpp"
 #include "common/fault_injection.hpp"
+#include "common/strings.hpp"
+#include "reference_solver.hpp"
 
 namespace cprisk::asp {
 namespace {
@@ -54,25 +57,8 @@ std::vector<ModelKey> model_keys(const SolveResult& result) {
     return keys;
 }
 
-void expect_engines_agree(const std::string& text,
-                          std::vector<std::pair<std::string, bool>> assumption_atoms = {}) {
-    SCOPED_TRACE(text);
-    GroundProgram program = must_ground(text);
-    SolveOptions options;
-    for (const auto& [name, value] : assumption_atoms) {
-        options.assumptions.emplace_back(must_find(program, name), value);
-    }
-    options.engine = SolverEngine::Cdcl;
-    SolveResult cdcl = must_solve(program, options);
-    options.engine = SolverEngine::Dpll;
-    SolveResult dpll = must_solve(program, options);
-
-    EXPECT_EQ(cdcl.satisfiable, dpll.satisfiable);
-    EXPECT_EQ(cdcl.best_cost, dpll.best_cost);
-    // Both engines sort canonically, so the full ordered lists must match.
-    EXPECT_EQ(model_keys(cdcl), model_keys(dpll));
-}
-
+// Compared against the brute-force reference; the test ID is historical and
+// kept stable.
 TEST(Cdcl, AgreesWithDpllOnHandPickedPrograms) {
     const char* programs[] = {
         "a. b :- a. c :- b, not d.",
@@ -92,7 +78,7 @@ TEST(Cdcl, AgreesWithDpllOnHandPickedPrograms) {
         "{ a ; b ; c }. :~ a. [1@2, a] :~ b. [1@1, b] :- not a, not b, not c.",
         "{ seed }. echo :- peer. peer :- echo. echo :- seed.",
     };
-    for (const char* text : programs) expect_engines_agree(text);
+    for (const char* text : programs) reference::expect_text_matches_reference(text);
 }
 
 TEST(Cdcl, AssumptionsPinAtoms) {
@@ -110,8 +96,8 @@ TEST(Cdcl, AssumptionsPinAtoms) {
     ASSERT_EQ(pinned_false.models.size(), 1u);
     EXPECT_TRUE(pinned_false.models[0].contains(parse_atom("c").value()));
 
-    expect_engines_agree("{ a }. b :- a. c :- not a.", {{"a", true}});
-    expect_engines_agree("{ a }. b :- a. c :- not a.", {{"a", false}});
+    reference::expect_matches_reference(program, {{a, true}});
+    reference::expect_matches_reference(program, {{a, false}});
 }
 
 TEST(Cdcl, UnsatUnderAssumptionsYieldsCore) {
@@ -153,20 +139,24 @@ TEST(Cdcl, Chain6CoreIsUnsatAndContainsAMinimalCore) {
     // unique minimal core.
     std::string text = "{ g1 }. { g2 }. { g3 }. { g4 }.\n";
     for (int i = 1; i <= 6; ++i) {
-        const std::string fi = "f" + std::to_string(i);
+        const std::string fi = numbered("f", i);
         text += "{ " + fi + " }.\n";
         if (i == 1) {
             text += "c1 :- f1.\n";
         } else {
-            text += "c" + std::to_string(i) + " :- c" + std::to_string(i - 1) + ", " + fi + ".\n";
+            text += numbered("c", i) + " :- c" + std::to_string(i - 1) + ", " + fi + ".\n";
         }
     }
     text += ":- c6.\n";
     GroundProgram program = must_ground(text);
 
     std::vector<std::pair<int, bool>> assumptions;
-    for (int i = 1; i <= 6; ++i) assumptions.emplace_back(must_find(program, "f" + std::to_string(i)), true);
-    for (int i = 1; i <= 4; ++i) assumptions.emplace_back(must_find(program, "g" + std::to_string(i)), true);
+    for (int i = 1; i <= 6; ++i) {
+        assumptions.emplace_back(must_find(program, numbered("f", i)), true);
+    }
+    for (int i = 1; i <= 4; ++i) {
+        assumptions.emplace_back(must_find(program, numbered("g", i)), true);
+    }
 
     SolveOptions options;
     options.assumptions = assumptions;
@@ -210,7 +200,7 @@ TEST(Cdcl, Chain6CoreIsUnsatAndContainsAMinimalCore) {
     }
     EXPECT_TRUE(contains_minimal);
     for (int i = 1; i <= 4; ++i) {
-        EXPECT_EQ(core.count({must_find(program, "g" + std::to_string(i)), true}), 0u);
+        EXPECT_EQ(core.count({must_find(program, numbered("g", i)), true}), 0u);
     }
 }
 
@@ -318,12 +308,6 @@ TEST(Cdcl, SolveDispatchUsesWarmSolverOnlyForMatchingProgram) {
     // than feed the wrong completion.
     SolveResult mismatched = must_solve(other, options);
     EXPECT_EQ(mismatched.models.size(), 2u);
-    EXPECT_EQ(warm.solve_generation(), 1u);
-
-    // The DPLL escape hatch ignores the warm solver entirely.
-    options.engine = SolverEngine::Dpll;
-    SolveResult dpll = must_solve(program, options);
-    EXPECT_EQ(dpll.models.size(), 2u);
     EXPECT_EQ(warm.solve_generation(), 1u);
 }
 

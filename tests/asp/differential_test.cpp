@@ -1,121 +1,22 @@
-// Differential testing of the stable-model solver against a brute-force
-// reference implementation of the answer-set definition: enumerate every
-// subset of ground atoms, build the reduct, compute its least model, and
-// compare with the candidate. Random programs are generated from a
-// deterministic PRNG so failures are reproducible.
+// Differential testing of the stable-model solver against the brute-force
+// reference (reference_solver.hpp), which enumerates every subset of ground
+// atoms, builds the reduct, computes its least model, and compares with the
+// candidate. Random programs are generated from a deterministic PRNG so
+// failures are reproducible.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <set>
+#include <map>
 #include <string>
-#include <vector>
 
+#include "asp/absint/absint.hpp"
 #include "asp/asp.hpp"
+#include "common/strings.hpp"
+#include "reference_solver.hpp"
 
 namespace cprisk::asp {
 namespace {
 
-/// Brute-force answer sets of a ground program (atoms, normal rules with
-/// default negation, constraints, unbounded choice rules).
-std::vector<std::set<int>> reference_answer_sets(const GroundProgram& program) {
-    const int n = static_cast<int>(program.atom_count());
-    std::vector<std::set<int>> answer_sets;
-
-    for (unsigned mask = 0; mask < (1u << n); ++mask) {
-        auto in_candidate = [&](int atom) { return (mask & (1u << atom)) != 0; };
-
-        // Constraints must not fire.
-        bool constraint_violated = false;
-        for (const GroundRule& rule : program.rules()) {
-            if (rule.kind != GroundRule::Kind::Constraint) continue;
-            bool body = true;
-            for (int p : rule.positive_body) body = body && in_candidate(p);
-            for (int q : rule.negative_body) body = body && !in_candidate(q);
-            if (body) {
-                constraint_violated = true;
-                break;
-            }
-        }
-        if (constraint_violated) continue;
-
-        // Cardinality bounds of choice rules.
-        bool bounds_violated = false;
-        for (const GroundRule& rule : program.rules()) {
-            if (rule.kind != GroundRule::Kind::Choice) continue;
-            if (!rule.lower_bound && !rule.upper_bound) continue;
-            bool body = true;
-            for (int p : rule.positive_body) body = body && in_candidate(p);
-            for (int q : rule.negative_body) body = body && !in_candidate(q);
-            if (!body) continue;
-            long long chosen = 0;
-            for (int h : rule.choice_heads) chosen += in_candidate(h) ? 1 : 0;
-            if (rule.lower_bound && chosen < *rule.lower_bound) bounds_violated = true;
-            if (rule.upper_bound && chosen > *rule.upper_bound) bounds_violated = true;
-        }
-        if (bounds_violated) continue;
-
-        // Least model of the reduct.
-        std::set<int> derived;
-        bool progressed = true;
-        while (progressed) {
-            progressed = false;
-            for (const GroundRule& rule : program.rules()) {
-                if (rule.kind == GroundRule::Kind::Constraint) continue;
-                bool neg_ok = true;
-                for (int q : rule.negative_body) neg_ok = neg_ok && !in_candidate(q);
-                if (!neg_ok) continue;
-                bool pos_ok = true;
-                for (int p : rule.positive_body) pos_ok = pos_ok && derived.count(p) > 0;
-                if (!pos_ok) continue;
-                if (rule.kind == GroundRule::Kind::Normal) {
-                    if (derived.insert(rule.head).second) progressed = true;
-                } else {
-                    for (int h : rule.choice_heads) {
-                        if (in_candidate(h) && derived.insert(h).second) progressed = true;
-                    }
-                }
-            }
-        }
-
-        std::set<int> candidate;
-        for (int a = 0; a < n; ++a) {
-            if (in_candidate(a)) candidate.insert(a);
-        }
-        if (candidate == derived) answer_sets.push_back(std::move(candidate));
-    }
-    return answer_sets;
-}
-
-/// Serializes an answer set for comparison.
-std::set<std::string> to_strings(const GroundProgram& program, const std::set<int>& atoms) {
-    std::set<std::string> out;
-    for (int a : atoms) out.insert(program.atom(a).to_string());
-    return out;
-}
-
-void expect_solver_matches_reference(const std::string& text) {
-    auto parsed = parse_program(text);
-    ASSERT_TRUE(parsed.ok()) << parsed.error() << "\n" << text;
-    auto grounded = ground(parsed.value());
-    ASSERT_TRUE(grounded.ok()) << grounded.error() << "\n" << text;
-    ASSERT_LE(grounded.value().atom_count(), 18u) << "program too large for brute force";
-
-    auto solved = solve(grounded.value());
-    ASSERT_TRUE(solved.ok()) << solved.error();
-
-    std::set<std::set<std::string>> ours;
-    for (const AnswerSet& model : solved.value().models) {
-        std::set<std::string> atoms;
-        for (const Atom& a : model.atoms) atoms.insert(a.to_string());
-        ours.insert(std::move(atoms));
-    }
-    std::set<std::set<std::string>> reference;
-    for (const auto& answer : reference_answer_sets(grounded.value())) {
-        reference.insert(to_strings(grounded.value(), answer));
-    }
-    EXPECT_EQ(ours, reference) << "program:\n" << text << "\nground:\n"
-                               << grounded.value().to_string();
-}
+using reference::expect_text_matches_reference;
 
 TEST(Differential, HandPickedPrograms) {
     const char* programs[] = {
@@ -135,10 +36,41 @@ TEST(Differential, HandPickedPrograms) {
         "a. { b } :- a. :- b, not c. { c } :- b.",
         "x :- y, not z. y :- x. { z }. y :- w. { w }.",
     };
-    for (const char* text : programs) {
+    for (const char* text : programs) expect_text_matches_reference(text);
+}
+
+// Clingo counts each distinct (weight, priority, tuple) once. Two weak
+// constraints sharing a tuple but not a weight are two cost elements, so
+// the cost must not depend on statement order.
+TEST(Differential, WeakConstraintsWithSharedTupleCountEachWeight) {
+    const char* orders[] = {
+        "a. b. :~ a. [2@1, x] :~ b. [3@1, x]",
+        "a. b. :~ b. [3@1, x] :~ a. [2@1, x]",
+    };
+    for (const char* text : orders) {
         SCOPED_TRACE(text);
-        expect_solver_matches_reference(text);
+        expect_text_matches_reference(text);
+        auto grounded = ground(parse_program(text).value());
+        ASSERT_TRUE(grounded.ok()) << grounded.error();
+        auto solved = solve(grounded.value());
+        ASSERT_TRUE(solved.ok()) << solved.error();
+        EXPECT_EQ(solved.value().best_cost, (std::map<long long, long long>{{1, 5}}));
+        // The static certifier prices the same unique answer set.
+        const auto analysis = absint::evaluate(grounded.value());
+        ASSERT_TRUE(analysis.certified);
+        EXPECT_EQ(absint::certified_cost(grounded.value(), analysis),
+                  (std::map<long long, long long>{{1, 5}}));
     }
+
+    // {a} costs 2, {b} costs 3, {a, b} costs 5: {a} is the only optimum.
+    const char* choice = "{ a ; b }. :- not a, not b. :~ a. [2@1, x] :~ b. [3@1, x]";
+    expect_text_matches_reference(choice);
+    auto grounded = ground(parse_program(choice).value());
+    ASSERT_TRUE(grounded.ok()) << grounded.error();
+    auto solved = solve(grounded.value());
+    ASSERT_TRUE(solved.ok()) << solved.error();
+    ASSERT_EQ(solved.value().models.size(), 1u);
+    EXPECT_EQ(solved.value().models[0].to_string(), "a [cost 2@1]");
 }
 
 // Deterministic xorshift PRNG for reproducible random programs.
@@ -160,7 +92,7 @@ private:
 /// Generates a random propositional program over `n_atoms` atoms a0..a{n-1}.
 std::string random_program(unsigned seed, int n_atoms, int n_rules) {
     Rng rng(seed);
-    auto atom = [&](int i) { return "a" + std::to_string(i); };
+    auto atom = [&](int i) { return numbered("a", i); };
     std::string text;
 
     // A couple of choice atoms give the program non-trivial answer sets.
@@ -190,9 +122,9 @@ class DifferentialRandom : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(DifferentialRandom, RandomProgramsMatchReference) {
     const unsigned seed = GetParam();
-    expect_solver_matches_reference(random_program(seed, /*n_atoms=*/5, /*n_rules=*/7));
-    expect_solver_matches_reference(random_program(seed + 1000, /*n_atoms=*/7, /*n_rules=*/10));
-    expect_solver_matches_reference(random_program(seed + 2000, /*n_atoms=*/4, /*n_rules=*/12));
+    expect_text_matches_reference(random_program(seed, /*n_atoms=*/5, /*n_rules=*/7));
+    expect_text_matches_reference(random_program(seed + 1000, /*n_atoms=*/7, /*n_rules=*/10));
+    expect_text_matches_reference(random_program(seed + 2000, /*n_atoms=*/4, /*n_rules=*/12));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialRandom,

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "common/strings.hpp"
 #include "epa/epa.hpp"
 
 namespace cprisk::epa {
@@ -38,7 +39,7 @@ model::SystemModel random_model(unsigned seed, int n) {
     model::SystemModel m;
     for (int i = 0; i < n; ++i) {
         Component c;
-        c.id = "c" + std::to_string(i);
+        c.id = numbered("c", i);
         c.name = c.id;
         c.type = i + 1 == n ? ElementType::Equipment : ElementType::Controller;
         c.asset_value = qual::level_from_index(rng.below(5));
@@ -49,7 +50,7 @@ model::SystemModel random_model(unsigned seed, int n) {
     for (int i = 0; i < n; ++i) {
         for (int j = i + 1; j < n; ++j) {
             if (rng.below(3) != 0) continue;
-            EXPECT_TRUE(m.add_relation({"c" + std::to_string(i), "c" + std::to_string(j),
+            EXPECT_TRUE(m.add_relation({numbered("c", i), numbered("c", j),
                                         RelationType::SignalFlow, ""})
                             .ok());
         }
@@ -72,7 +73,7 @@ TEST_P(EpaProperties, ViolationsMonotoneInMutations) {
     auto m = random_model(seed, n);
     std::vector<Requirement> requirements;
     for (int i = 0; i < n; ++i) {
-        requirements.push_back(Requirement::no_error_reaches("c" + std::to_string(i)));
+        requirements.push_back(Requirement::no_error_reaches(numbered("c", i)));
     }
     EpaOptions options;
     options.focus = AnalysisFocus::Topology;
@@ -83,10 +84,10 @@ TEST_P(EpaProperties, ViolationsMonotoneInMutations) {
     Rng rng(seed + 99);
     std::vector<Mutation> small;
     for (int i = 0; i < n; ++i) {
-        if (rng.below(3) == 0) small.push_back({"c" + std::to_string(i), "fail"});
+        if (rng.below(3) == 0) small.push_back({numbered("c", i), "fail"});
     }
     std::vector<Mutation> large = small;
-    large.push_back({"c" + std::to_string(rng.below(n)), "fail"});
+    large.push_back({numbered("c", rng.below(n)), "fail"});
 
     auto small_verdict = epa.value().evaluate(scenario_of(small), {});
     auto large_verdict = epa.value().evaluate(scenario_of(large), {});
@@ -109,10 +110,10 @@ TEST_P(EpaProperties, MitigationsAntiMonotone) {
     auto m = random_model(seed, n);
     MitigationMap map;
     for (int i = 0; i < n; ++i) {
-        map.add("patch" + std::to_string(i), "c" + std::to_string(i), "fail");
+        map.add(numbered("patch", i), numbered("c", i), "fail");
     }
     std::vector<Requirement> requirements = {
-        Requirement::no_error_reaches("c" + std::to_string(n - 1))};
+        Requirement::no_error_reaches(numbered("c", n - 1))};
     EpaOptions options;
     options.focus = AnalysisFocus::Topology;
     options.horizon = n;
@@ -120,7 +121,7 @@ TEST_P(EpaProperties, MitigationsAntiMonotone) {
     ASSERT_TRUE(epa.ok()) << epa.error();
 
     std::vector<Mutation> mutations;
-    for (int i = 0; i < n; ++i) mutations.push_back({"c" + std::to_string(i), "fail"});
+    for (int i = 0; i < n; ++i) mutations.push_back({numbered("c", i), "fail"});
     const auto scenario = scenario_of(mutations);
 
     std::vector<std::string> active;
@@ -131,7 +132,7 @@ TEST_P(EpaProperties, MitigationsAntiMonotone) {
         EXPECT_LE(verdict.value().violated_requirements.size(), previous_violations)
             << "seed " << seed << ": adding a mitigation added a violation";
         previous_violations = verdict.value().violated_requirements.size();
-        active.push_back("patch" + std::to_string(i));
+        active.push_back(numbered("patch", i));
     }
     // With every component patched, nothing is injected.
     auto fully_mitigated = epa.value().evaluate(scenario, active);
@@ -151,8 +152,8 @@ TEST_P(EpaProperties, PropagationCoversInjectedComponents) {
     ASSERT_TRUE(epa.ok()) << epa.error();
 
     Rng rng(seed + 7);
-    std::vector<Mutation> mutations = {{"c" + std::to_string(rng.below(n)), "fail"},
-                                       {"c" + std::to_string(rng.below(n)), "fail"}};
+    std::vector<Mutation> mutations = {{numbered("c", rng.below(n)), "fail"},
+                                       {numbered("c", rng.below(n)), "fail"}};
     auto verdict = epa.value().evaluate(scenario_of(mutations), {});
     ASSERT_TRUE(verdict.ok()) << verdict.error();
 

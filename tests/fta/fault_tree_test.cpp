@@ -6,6 +6,7 @@
 
 #include "common/antichain.hpp"
 
+#include "common/strings.hpp"
 #include "core/watertank.hpp"
 #include "fta/fault_tree.hpp"
 #include "security/threat_actor.hpp"
@@ -241,18 +242,18 @@ TEST(FaultTree, MinimalCutSetsMatchSharedAntichainAbsorption) {
     };
     FaultTree tree;
     for (int e = 0; e < 8; ++e) {
-        ASSERT_TRUE(tree.add_event({"e" + std::to_string(e), "", qual::Level::Low}).ok());
+        ASSERT_TRUE(tree.add_event({numbered("e", e), "", qual::Level::Low}).ok());
     }
     std::vector<CutSet> family;
     Gate top{"top", GateType::Or, {}};
     for (int g = 0; g < 12; ++g) {
         CutSet members;
         const std::size_t size = 1 + next() % 3;
-        while (members.size() < size) members.insert("e" + std::to_string(next() % 8));
-        Gate gate{"g" + std::to_string(g), GateType::And,
+        while (members.size() < size) members.insert(numbered("e", next() % 8));
+        Gate gate{numbered("g", g), GateType::And,
                   std::vector<std::string>(members.begin(), members.end())};
         ASSERT_TRUE(tree.add_gate(std::move(gate)).ok());
-        top.inputs.push_back("g" + std::to_string(g));
+        top.inputs.push_back(numbered("g", g));
         family.push_back(std::move(members));
     }
     ASSERT_TRUE(tree.add_gate(std::move(top)).ok());

@@ -2,6 +2,7 @@
 // constraints, multi-phase planning.
 #include <gtest/gtest.h>
 
+#include "common/strings.hpp"
 #include "mitigation/optimizer.hpp"
 
 namespace cprisk::mitigation {
@@ -127,18 +128,18 @@ TEST(AspOptimizer, RandomizedAgreementSweep) {
         const int n_mitigations = 3 + seed % 3;
         for (int m = 0; m < n_mitigations; ++m) {
             problem.candidates.push_back(Candidate{
-                "m" + std::to_string(m), "M" + std::to_string(m), 1 + (seed * 7 + m * 3) % 5});
+                numbered("m", m), numbered("M", m), 1 + (seed * 7 + m * 3) % 5});
         }
         const int n_threats = 2 + seed % 3;
         for (int t = 0; t < n_threats; ++t) {
             Threat threat;
-            threat.scenario_id = "t" + std::to_string(t);
+            threat.scenario_id = numbered("t", t);
             threat.loss = 5 + (seed * 11 + t * 13) % 40;
             const int n_mutations = 1 + (seed + t) % 2;
             for (int u = 0; u < n_mutations; ++u) {
                 std::vector<std::string> covers;
                 for (int m = 0; m < n_mitigations; ++m) {
-                    if ((seed + t + u + m) % 2 == 0) covers.push_back("m" + std::to_string(m));
+                    if ((seed + t + u + m) % 2 == 0) covers.push_back(numbered("m", m));
                 }
                 threat.mutation_covers.push_back(std::move(covers));
             }

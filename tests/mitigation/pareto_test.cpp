@@ -1,7 +1,7 @@
 // Pareto-front mitigation planning (mitigation/optimizer.hpp,
 // docs/quantitative-risk.md): nondominance and determinism of the exact
-// front, ASP/exact engine agreement on objective tuples, knee properties,
-// and the deprecated HardeningResult shim's equality with the knee.
+// front, ASP/exact engine agreement on objective tuples, and knee
+// properties.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +9,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "mitigation/optimizer.hpp"
 
 namespace cprisk::mitigation {
@@ -65,20 +66,20 @@ MitigationProblem random_problem(unsigned long long seed) {
     MitigationProblem problem;
     const std::size_t candidates = 2 + next(4);  // 2..5
     for (std::size_t i = 0; i < candidates; ++i) {
-        problem.candidates.push_back({"m" + std::to_string(i), "Gen",
+        problem.candidates.push_back({numbered("m", i), "Gen",
                                       static_cast<long long>(1 + next(9))});
     }
     const std::size_t threats = 1 + next(4);  // 1..4
     for (std::size_t i = 0; i < threats; ++i) {
         Threat threat;
-        threat.scenario_id = "t" + std::to_string(i);
+        threat.scenario_id = numbered("t", i);
         threat.loss = static_cast<long long>(5 + next(95));
         const std::size_t mutations = 1 + next(2);
         for (std::size_t m = 0; m < mutations; ++m) {
             std::vector<std::string> covers;
             const std::size_t width = next(candidates + 1);  // may be empty
             for (std::size_t c = 0; c < width; ++c) {
-                covers.push_back("m" + std::to_string(next(candidates)));
+                covers.push_back(numbered("m", next(candidates)));
             }
             std::sort(covers.begin(), covers.end());
             covers.erase(std::unique(covers.begin(), covers.end()), covers.end());
@@ -175,25 +176,6 @@ TEST(ParetoFront, KneePrefersCoverageThenLexSmallestOnTies) {
     EXPECT_EQ(knee.selection.chosen, (std::vector<std::string>{"ma"}));
     EXPECT_EQ(knee.coverage, 1u);
 }
-
-// The one-release compatibility shim: silence the deprecation warnings the
-// rest of the tree is built to surface.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(HardeningShim, EqualsTheParetoKnee) {
-    for (unsigned long long seed = 1; seed <= 12; ++seed) {
-        const MitigationProblem problem = random_problem(seed);
-        const HardeningResult shim = harden(problem);
-        const ParetoFront front = pareto_front_exact(problem);
-        const ParetoPoint& knee = front.knee();
-        EXPECT_EQ(shim.selection.chosen, knee.selection.chosen) << "seed " << seed;
-        EXPECT_EQ(shim.selection.mitigation_cost, knee.selection.mitigation_cost);
-        EXPECT_EQ(shim.selection.residual_loss, knee.selection.residual_loss);
-    }
-}
-
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace cprisk::mitigation

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "epa/epa.hpp"
 #include "epa/requirement.hpp"
 #include "obs/metrics.hpp"
@@ -26,7 +27,7 @@ model::SystemModel chain_model(int n) {
     model::SystemModel m;
     for (int i = 0; i < n; ++i) {
         model::Component c;
-        c.id = "c" + std::to_string(i);
+        c.id = numbered("c", i);
         c.name = c.id;
         c.type = i + 1 == n ? model::ElementType::Equipment : model::ElementType::Controller;
         c.asset_value = i + 1 == n ? qual::Level::VeryHigh : qual::Level::Medium;
@@ -35,7 +36,7 @@ model::SystemModel chain_model(int n) {
         (void)m.add_component(std::move(c));
     }
     for (int i = 0; i + 1 < n; ++i) {
-        (void)m.add_relation({"c" + std::to_string(i), "c" + std::to_string(i + 1),
+        (void)m.add_relation({numbered("c", i), numbered("c", i + 1),
                               model::RelationType::SignalFlow, ""});
     }
     return m;
@@ -69,8 +70,8 @@ ObservedSweep observed_sweep(std::size_t jobs) {
     std::vector<security::AttackScenario> list;
     for (int i = 0; i < 12; ++i) {
         security::AttackScenario s;
-        s.id = "s" + std::to_string(i);
-        s.mutations = {{"c" + std::to_string(i % n), "fail"}};
+        s.id = numbered("s", i);
+        s.mutations = {{numbered("c", i % n), "fail"}};
         s.likelihood = qual::Level::Low;
         list.push_back(std::move(s));
     }

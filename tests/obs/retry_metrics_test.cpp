@@ -45,7 +45,7 @@ struct SweepResult {
     std::vector<epa::ScenarioVerdict> verdicts;
 };
 
-/// Runs an 8-scenario sweep on the DPLL path (prefilter off, so the armed
+/// Runs an 8-scenario sweep on the solver path (prefilter off, so the armed
 /// asp.solver.solve seam is actually consulted) with the given lane count
 /// and retry budget.
 SweepResult faulted_sweep(std::size_t jobs, std::size_t retries) {

@@ -2,6 +2,7 @@
 // behaviour exactly, the pool is built lazily and shared, and the EpaOptions/
 // CegarOptions accessors resolve everything through the attached context
 // (plain options without one run sequential and unbudgeted).
+#include "common/strings.hpp"
 #include "obs/run_context.hpp"
 
 #include <gtest/gtest.h>
@@ -73,7 +74,7 @@ model::SystemModel chain_model(int n) {
     model::SystemModel m;
     for (int i = 0; i < n; ++i) {
         model::Component c;
-        c.id = "c" + std::to_string(i);
+        c.id = numbered("c", i);
         c.name = c.id;
         c.type = i + 1 == n ? model::ElementType::Equipment : model::ElementType::Controller;
         c.asset_value = i + 1 == n ? qual::Level::VeryHigh : qual::Level::Medium;
@@ -82,7 +83,7 @@ model::SystemModel chain_model(int n) {
         (void)m.add_component(std::move(c));
     }
     for (int i = 0; i + 1 < n; ++i) {
-        (void)m.add_relation({"c" + std::to_string(i), "c" + std::to_string(i + 1),
+        (void)m.add_relation({numbered("c", i), numbered("c", i + 1),
                               model::RelationType::SignalFlow, ""});
     }
     return m;
@@ -92,8 +93,8 @@ security::ScenarioSpace single_fault_space(int scenarios, int chain) {
     std::vector<security::AttackScenario> list;
     for (int i = 0; i < scenarios; ++i) {
         security::AttackScenario s;
-        s.id = "s" + std::to_string(i);
-        s.mutations = {{"c" + std::to_string(i % chain), "fail"}};
+        s.id = numbered("s", i);
+        s.mutations = {{numbered("c", i % chain), "fail"}};
         s.likelihood = qual::Level::Low;
         list.push_back(std::move(s));
     }

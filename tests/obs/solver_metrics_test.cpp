@@ -11,11 +11,12 @@
 // Search-heavy sweeps at jobs > 1 are deliberately NOT asserted invariant:
 // each pool solver learns its own clauses, so the learned/reused totals scale
 // with lease scheduling while the verdicts stay identical (the contract the
-// engine differential pins instead).
+// parallel-determinism suite pins instead).
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "common/strings.hpp"
 #include "epa/epa.hpp"
 #include "epa/frontier.hpp"
 #include "epa/requirement.hpp"
@@ -30,7 +31,7 @@ model::SystemModel chain_model(int n) {
     model::SystemModel m;
     for (int i = 0; i < n; ++i) {
         model::Component c;
-        c.id = "c" + std::to_string(i);
+        c.id = numbered("c", i);
         c.name = c.id;
         c.type = i + 1 == n ? model::ElementType::Equipment : model::ElementType::Controller;
         c.asset_value = i + 1 == n ? qual::Level::VeryHigh : qual::Level::Medium;
@@ -39,7 +40,7 @@ model::SystemModel chain_model(int n) {
         (void)m.add_component(std::move(c));
     }
     for (int i = 0; i + 1 < n; ++i) {
-        (void)m.add_relation({"c" + std::to_string(i), "c" + std::to_string(i + 1),
+        (void)m.add_relation({numbered("c", i), numbered("c", i + 1),
                               model::RelationType::SignalFlow, ""});
     }
     return m;
@@ -72,7 +73,7 @@ std::string frontier_metrics(int n, std::size_t jobs) {
     options.horizon = n + 1;
     options.ctx = &ctx;
     auto analysis = epa::ErrorPropagationAnalysis::create(
-        m, {epa::Requirement::no_error_reaches("c" + std::to_string(n - 1))}, {}, options);
+        m, {epa::Requirement::no_error_reaches(numbered("c", n - 1))}, {}, options);
     EXPECT_TRUE(analysis.ok()) << analysis.error();
 
     epa::FrontierOptions frontier_options;
@@ -106,8 +107,8 @@ std::string prefilter_off_sweep_metrics(std::size_t jobs) {
     std::vector<security::AttackScenario> list;
     for (int i = 0; i < 12; ++i) {
         security::AttackScenario s;
-        s.id = "s" + std::to_string(i);
-        s.mutations = {{"c" + std::to_string(i % n), "fail"}};
+        s.id = numbered("s", i);
+        s.mutations = {{numbered("c", i % n), "fail"}};
         s.likelihood = qual::Level::Low;
         list.push_back(std::move(s));
     }

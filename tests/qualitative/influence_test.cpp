@@ -2,6 +2,7 @@
 // example.
 #include <gtest/gtest.h>
 
+#include "common/strings.hpp"
 #include "qualitative/influence.hpp"
 
 namespace cprisk::qual {
@@ -128,9 +129,7 @@ TEST(Influence, SoundnessAgainstLinearSystem) {
             for (int j = i + 1; j < n; ++j) {
                 if (rand_bit()) continue;
                 const double w = rand_bit() ? 1.0 : -1.0;
-                ASSERT_TRUE(g.add_influence("v" + std::to_string(i), "v" + std::to_string(j),
-                                            sign_of(w))
-                                .ok());
+                ASSERT_TRUE(g.add_influence(numbered("v", i), numbered("v", j), sign_of(w)).ok());
                 incoming[j].push_back({i, w});
             }
         }
@@ -145,7 +144,7 @@ TEST(Influence, SoundnessAgainstLinearSystem) {
             for (const auto& [i, w] : incoming[j]) derivative[j] += w * derivative[i];
         }
         for (int j = 0; j < n; ++j) {
-            const std::string name = "v" + std::to_string(j);
+            const std::string name = numbered("v", j);
             if (trend.value().count(name) == 0) continue;
             EXPECT_TRUE(refines(sign_of(derivative[j]), trend.value().at(name)))
                 << "seed " << seed << " variable " << name;

@@ -152,7 +152,7 @@ TEST_P(FaultSweepFixture, PrefilterFaultFallsBackToTheSolver) {
         << "prefilter seam not exercised by the reference run";
 
     // A failing prefilter is invisible except for provenance: the scenario
-    // falls back to the DPLL path and gets the same verdict.
+    // falls back to the solver path and gets the same verdict.
     for (int countdown : {1, 4}) {
         SCOPED_TRACE("countdown=" + std::to_string(countdown));
         fault::reset();

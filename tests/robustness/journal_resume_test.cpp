@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "common/fault_injection.hpp"
@@ -53,6 +54,12 @@ Bundle make_reactor() {
     bundle.config.max_simultaneous_faults = 1;
     bundle.owner = cs;
     return bundle;
+}
+
+/// Prints the bundle's name, not the factory's address, so discovered test
+/// names are the same in every build.
+void PrintTo(Bundle (*make)(), std::ostream* os) {
+    *os << (make == &make_watertank ? "watertank" : "reactor");
 }
 
 /// Every user-visible rendering of a report, for byte-identity checks.

@@ -57,6 +57,12 @@ Bundle make_reactor() {
     return bundle;
 }
 
+/// Prints the bundle's name, not the factory's address, so discovered test
+/// names are the same in every build.
+void PrintTo(Bundle (*make)(), std::ostream* os) {
+    *os << (make == &make_watertank ? "watertank" : "reactor");
+}
+
 std::string renderings(const AssessmentReport& report) {
     return render_markdown(report) + "\n===\n" + render_risk_csv(report) + "\n===\n" +
            render_report_json(report);

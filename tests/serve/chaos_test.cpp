@@ -19,6 +19,7 @@
 
 #include "common/fault_injection.hpp"
 #include "common/json.hpp"
+#include "common/strings.hpp"
 #include "line_client.hpp"
 #include "serve/server.hpp"
 
@@ -87,7 +88,7 @@ TEST_P(ServeChaosTest, NeverCrashesAndEveryReplyIsWellFormed) {
             if (!client.connect_to(options.socket_path)) return;  // accept fault / drain
             int expected = 0;
             for (int r = 0; r < kRequests; ++r) {
-                const std::string id = "c" + std::to_string(c) + "r" + std::to_string(r);
+                const std::string id = numbered("c", c) + numbered("r", r);
                 std::string line;
                 if (r % kRequests == 1) {
                     line = R"({"id":")" + id + R"(","op":"ping"})";

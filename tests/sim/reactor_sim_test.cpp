@@ -93,6 +93,10 @@ struct CrossCase {
     bool r2;  ///< silent critical pressure expected
 };
 
+/// Prints the case name, not the raw bytes (which hold pointers), so
+/// discovered test names are the same in every build.
+void PrintTo(const CrossCase& c, std::ostream* os) { *os << c.name; }
+
 class ReactorSimVsEpa : public ::testing::TestWithParam<CrossCase> {};
 
 TEST_P(ReactorSimVsEpa, ConcreteMatchesQualitative) {

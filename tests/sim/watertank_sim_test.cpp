@@ -120,6 +120,10 @@ struct CrossCase {
     bool r2_violated;
 };
 
+/// Prints the case name, not the raw bytes (which hold pointers), so
+/// discovered test names are the same in every build.
+void PrintTo(const CrossCase& c, std::ostream* os) { *os << c.name; }
+
 class SimVsEpa : public ::testing::TestWithParam<CrossCase> {};
 
 TEST_P(SimVsEpa, ConcreteMatchesQualitative) {

@@ -26,9 +26,6 @@
 //   --attack-scenarios   include actor-driven attack scenarios
 //   --no-cegar           run the behavioural analysis directly
 //   --no-static-prefilter  disable the ternary verdict prefilter
-//   --solver ENGINE      scenario-solve search engine: cdcl (default,
-//                        clause-learning with warm solver reuse) or dpll
-//                        (the escape hatch); verdicts are identical
 //   --budget N           mitigation budget constraint
 //   --phase-budget N     enable multi-phase planning
 //   --markdown FILE      write the analyst report as Markdown
@@ -126,7 +123,7 @@ int usage() {
                  "                     [--phase-budget N] [--markdown FILE] [--csv FILE]\n"
                  "                     [--json FILE] [--deadline-ms N] [--max-decisions N]\n"
                  "                     [--jobs N] [--journal FILE] [--journal-sync] [--resume]\n"
-                 "                     [--no-static-prefilter] [--solver cdcl|dpll] [--retry N]\n"
+                 "                     [--no-static-prefilter] [--retry N]\n"
                  "                     [--exhaustive] [--max-card K] [--attack-reachable-only]\n"
                  "                     [--priority expected-risk|enumeration] [--prior-seed N]\n"
                  "                     [--trace FILE] [--metrics FILE]\n"
@@ -512,7 +509,7 @@ int cmd_assess(int argc, char** argv) {
         "--jobs",      "--journal",       "--journal-sync",     "--resume",
         "--retry",     "--markdown",      "--csv",              "--json",
         "--trace",     "--metrics",       "--no-static-prefilter",
-        "--solver",    "--exhaustive",    "--max-card",         "--attack-reachable-only",
+        "--exhaustive", "--max-card",     "--attack-reachable-only",
         "--priority",  "--prior-seed"};
 
     cprisk::cli::FlagParser parser("assess", argc - 1, argv + 1, assess_flags);
@@ -529,18 +526,6 @@ int cmd_assess(int argc, char** argv) {
             config.use_cegar = false;
         } else if (parser.is("--no-static-prefilter")) {
             config.static_prefilter = false;
-        } else if (parser.is("--solver")) {
-            if (!parser.value(text)) continue;
-            if (text == "cdcl") {
-                config.solver = cprisk::asp::SolverEngine::Cdcl;
-            } else if (text == "dpll") {
-                config.solver = cprisk::asp::SolverEngine::Dpll;
-            } else {
-                std::fprintf(stderr,
-                             "invalid value '%s' for '--solver': expected 'cdcl' or 'dpll'\n",
-                             text.c_str());
-                parser.fail();
-            }
         } else if (parser.is("--priority")) {
             if (!parser.value(text)) continue;
             const auto policy = cprisk::risk::parse_priority_policy(text);
