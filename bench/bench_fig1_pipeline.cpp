@@ -52,7 +52,8 @@ int main() {
     config.horizon = cs.horizon;
     config.max_simultaneous_faults = 2;
     config.phase_budget = 6;
-    auto report = assessment.run(config);
+    cprisk::core::RunContext ctx;
+    auto report = assessment.run(config, ctx);
     if (!report.ok()) {
         std::printf("assessment failed: %s\n", report.error().c_str());
         return 1;

@@ -24,7 +24,8 @@ int main() {
     config.include_attack_scenarios = false;
     config.budget = 10;
 
-    auto report = assessment.run(config);
+    core::RunContext ctx;
+    auto report = assessment.run(config, ctx);
     if (!report.ok()) {
         std::printf("assessment failed: %s\n", report.error().c_str());
         return 1;

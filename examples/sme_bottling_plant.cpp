@@ -88,7 +88,8 @@ int main() {
     config.use_cegar = false;                // single-level topology analysis
     config.phase_budget = 5;
 
-    auto report = assessment.run(config);
+    core::RunContext ctx;
+    auto report = assessment.run(config, ctx);
     if (!report.ok()) {
         std::printf("assessment failed: %s\n", report.error().c_str());
         return 1;

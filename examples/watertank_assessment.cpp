@@ -25,7 +25,8 @@ int main() {
     config.include_attack_scenarios = false;  // fault-combination view
     config.phase_budget = 6;                  // yearly security budget units
 
-    auto report = assessment.run(config);
+    core::RunContext ctx;
+    auto report = assessment.run(config, ctx);
     if (!report.ok()) {
         std::printf("assessment failed: %s\n", report.error().c_str());
         return 1;

@@ -130,14 +130,6 @@ RiskAssessment::RiskAssessment(const model::SystemModel& system,
       mitigations_(&mitigations),
       catalog_(catalog) {}
 
-Result<AssessmentReport> RiskAssessment::run(const AssessmentConfig& config) const {
-    // Compatibility shim: pre-RunContext callers configure everything on the
-    // config; reproduce that exactly (no tracing, no metrics, own pool).
-    RunContext ctx;
-    ctx.jobs = config.jobs;
-    return run(config, ctx);
-}
-
 Result<AssessmentReport> RiskAssessment::run(const AssessmentConfig& config,
                                              RunContext& ctx) const {
     AssessmentReport report;
@@ -480,29 +472,6 @@ Result<AssessmentReport> RiskAssessment::run(const AssessmentConfig& config,
     obs::set_gauge(ctx.metrics, "budget.elapsed_ms",
                    static_cast<long long>(budget_stats.elapsed.count()));
     return report;
-}
-
-Result<std::vector<epa::ScenarioVerdict>> RiskAssessment::evaluate_scenarios(
-    const std::vector<security::AttackScenario>& scenarios,
-    const std::vector<std::string>& active_mitigations, int horizon, RunContext& ctx) const {
-    epa::EpaOptions options;
-    options.focus = epa::AnalysisFocus::Behavioral;
-    options.horizon = horizon;
-    options.ctx = &ctx;
-    auto epa = epa::ErrorPropagationAnalysis::create(*system_, behavioral_requirements_,
-                                                     *mitigations_, options);
-    if (!epa.ok()) return Result<std::vector<epa::ScenarioVerdict>>::failure(epa.error());
-
-    security::ScenarioSpace space(scenarios);
-    return epa.value().evaluate_all(space, active_mitigations);
-}
-
-Result<std::vector<epa::ScenarioVerdict>> RiskAssessment::evaluate_scenarios(
-    const std::vector<security::AttackScenario>& scenarios,
-    const std::vector<std::string>& active_mitigations, int horizon, std::size_t jobs) const {
-    RunContext ctx;
-    ctx.jobs = jobs;
-    return evaluate_scenarios(scenarios, active_mitigations, horizon, ctx);
 }
 
 }  // namespace cprisk::core

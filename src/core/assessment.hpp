@@ -63,21 +63,22 @@ struct AssessmentConfig {
     // Resource governance (see docs/robustness.md). Exhausted budgets do
     // not fail the run: affected scenarios are reported Undetermined.
     // deadline_ms and cancel are applied to the RunContext's budget at the
-    // start of run(); with the two-argument run() overload they may instead
-    // be configured directly on ctx.budget and left zero here.
+    // start of run(); they may instead be configured directly on ctx.budget
+    // and left zero here. Worker lanes are RunContext::jobs, not a config
+    // field: they change no output byte (docs/performance.md).
     long long deadline_ms = 0;       ///< wall-clock deadline for steps 3-5 (0 = none)
     std::size_t max_decisions = 0;   ///< per-solve decision cap (0 = solver default)
     /// Static ternary prefilter over the EPA ground-once cache
     /// (docs/static-analysis.md). Never changes verdicts — only whether the
-    /// CDCL solver runs for statically decidable scenarios — so, like
-    /// `jobs`, it is excluded from the journal's config echo.
+    /// CDCL solver runs for statically decidable scenarios — so it is
+    /// excluded from the journal's config echo.
     bool static_prefilter = true;
     std::optional<CancelToken> cancel;  ///< external cancellation
     /// Bounded retry for transient Undetermined{solver_error} verdicts
     /// (docs/serve.md): applied to ctx.retry.max_retries at the start of
     /// run(). 0 (the default) disables retry and preserves byte-identity
-    /// with earlier releases. Like `jobs`, a robustness knob that never
-    /// changes successful verdicts, so excluded from the journal echo.
+    /// with earlier releases. A robustness knob that never changes
+    /// successful verdicts, so excluded from the journal echo.
     std::size_t retries = 0;
 
     // Exhaustive hazard frontier (epa/frontier.hpp, docs/exhaustive-search.md).
@@ -106,7 +107,7 @@ struct AssessmentConfig {
     risk::PriorityPolicy priority_policy = risk::PriorityPolicy::ExpectedRisk;
     /// Seed for the posterior coverage bound rendered in the Completeness
     /// section (`--prior-seed`). Render-only — never changes a verdict or a
-    /// journal byte — so excluded from the journal echo like `jobs`.
+    /// journal byte — so excluded from the journal echo.
     unsigned long long prior_seed = 1;
     /// Step 7: additionally compute the mitigation Pareto front over
     /// (cost, residual risk, coverage) — mitigation::ParetoFront, rendered
@@ -122,15 +123,6 @@ struct AssessmentConfig {
     /// core::JournalOptions::sync). Durability only — journal bytes are
     /// identical either way — so excluded from the journal echo.
     bool journal_sync = false;
-
-    /// DEPRECATED — pre-RunContext shim, read only by the one-argument
-    /// run(config) overload to seed the context it builds; the two-argument
-    /// overload uses ctx.jobs. Worker lanes for the scenario sweep (0 =
-    /// hardware concurrency). The value never changes results, reports, or
-    /// journal bytes — verdicts are merged in scenario order — so it is
-    /// deliberately NOT part of the journal's config echo and a journal can
-    /// be resumed under a different job count. See docs/performance.md.
-    std::size_t jobs = 1;
 };
 
 /// Wall-clock duration of one pipeline phase (steps 2, 3-5, 6, 7). Timings
@@ -245,24 +237,6 @@ public:
     /// set, are applied to ctx.budget before the pipeline starts. The
     /// context must outlive the call.
     Result<AssessmentReport> run(const AssessmentConfig& config, RunContext& ctx) const;
-
-    /// Compatibility overload: builds a RunContext from the config's
-    /// deprecated `jobs` shim (no tracing, no metrics) and delegates.
-    Result<AssessmentReport> run(const AssessmentConfig& config = {}) const;
-
-    /// Steps 4-6 for a fixed scenario list (used by the Table II bench).
-    /// Verdict order is always the scenario order.
-    Result<std::vector<epa::ScenarioVerdict>> evaluate_scenarios(
-        const std::vector<security::AttackScenario>& scenarios,
-        const std::vector<std::string>& active_mitigations, int horizon,
-        RunContext& ctx) const;
-
-    /// Compatibility overload; `jobs` as the deprecated AssessmentConfig
-    /// shim.
-    Result<std::vector<epa::ScenarioVerdict>> evaluate_scenarios(
-        const std::vector<security::AttackScenario>& scenarios,
-        const std::vector<std::string>& active_mitigations, int horizon,
-        std::size_t jobs = 1) const;
 
 private:
     const model::SystemModel* system_;

@@ -168,8 +168,9 @@ json::Value journal_header(const AssessmentConfig& config) {
     json::set(echo, "active_mitigations", strings_to_json(config.active_mitigations));
     json::set(echo, "max_decisions", config.max_decisions);
     // Exhaustive-frontier knobs change the candidate universe, so a journal
-    // from one mode must not resume under another. `jobs` and
-    // `static_prefilter` stay excluded: neither changes verdicts or bytes.
+    // from one mode must not resume under another. `static_prefilter` stays
+    // excluded: like the job count (RunContext::jobs), it changes no verdict
+    // or byte.
     json::set(echo, "exhaustive", config.exhaustive);
     json::set(echo, "max_card", config.max_card);
     json::set(echo, "attack_reachable_only", config.attack_reachable_only);

@@ -9,7 +9,7 @@
 #include "asp/incremental.hpp"
 #include "common/fault_injection.hpp"
 #include "common/strings.hpp"
-#include "common/thread_pool.hpp"
+#include "common/ordered_sweep.hpp"
 #include "model/to_asp.hpp"
 
 namespace cprisk::epa {
@@ -864,42 +864,22 @@ Result<std::vector<ScenarioVerdict>> ErrorPropagationAnalysis::evaluate_all(
     const security::ScenarioSpace& space,
     const std::vector<std::string>& active_mitigations) const {
     const std::vector<security::AttackScenario>& scenarios = space.scenarios();
-    const std::size_t jobs = std::min(ThreadPool::resolve(options_.effective_jobs()),
-                                      std::max<std::size_t>(scenarios.size(), 1));
     obs::set_gauge(options_.metrics_sink(), "epa.pool.batch",
                    static_cast<long long>(scenarios.size()));
-    if (jobs <= 1) {
-        std::vector<ScenarioVerdict> verdicts;
-        verdicts.reserve(scenarios.size());
-        for (const security::AttackScenario& scenario : scenarios) {
-            auto verdict = evaluate(scenario, active_mitigations);
-            if (!verdict.ok()) {
-                return Result<std::vector<ScenarioVerdict>>::failure(verdict.error());
-            }
-            verdicts.push_back(std::move(verdict).value());
-        }
-        return verdicts;
-    }
-
-    // Parallel sweep: workers fill slots indexed by scenario, the merge
-    // walks them in scenario order — results are independent of the job
-    // count and of completion order (docs/performance.md). With a RunContext
-    // the run's shared pool is reused; the legacy shim path builds its own.
-    std::optional<ThreadPool> local_pool;
-    ThreadPool& pool =
-        options_.ctx != nullptr ? options_.ctx->pool() : local_pool.emplace(jobs);
+    ThreadPool* pool = options_.ctx != nullptr ? &options_.ctx->pool() : nullptr;
     obs::set_gauge(options_.metrics_sink(), "epa.pool.lanes",
-                   static_cast<long long>(pool.jobs()));
-    std::vector<std::optional<Result<ScenarioVerdict>>> slots(scenarios.size());
-    pool.run_batch(scenarios.size(), [&](std::size_t index) {
-        slots[index] = evaluate(scenarios[index], active_mitigations);
-    });
+                   static_cast<long long>(pool != nullptr ? pool->jobs() : 1));
+    // Verdicts merge in scenario order at any job count (docs/performance.md).
     std::vector<ScenarioVerdict> verdicts;
     verdicts.reserve(scenarios.size());
-    for (std::optional<Result<ScenarioVerdict>>& slot : slots) {
-        if (!slot->ok()) return Result<std::vector<ScenarioVerdict>>::failure(slot->error());
-        verdicts.push_back(std::move(*slot).value());
-    }
+    auto swept = ordered_sweep<ScenarioVerdict>(
+        pool, scenarios.size(), [](std::size_t) { return std::optional<ScenarioVerdict>(); },
+        [&](std::size_t index) { return evaluate(scenarios[index], active_mitigations); },
+        [&](std::size_t, ScenarioVerdict&& verdict, bool) {
+            verdicts.push_back(std::move(verdict));
+            return Result<void>();
+        });
+    if (!swept.ok()) return Result<std::vector<ScenarioVerdict>>::failure(swept.error());
     return verdicts;
 }
 

@@ -165,7 +165,6 @@ struct EpaOptions {
 
     /// Resolved views over the run context (single reading site each).
     Budget* effective_budget() const { return ctx != nullptr ? &ctx->budget : nullptr; }
-    std::size_t effective_jobs() const { return ctx != nullptr ? ctx->jobs : 1; }
     obs::TraceSink* trace_sink() const { return ctx != nullptr ? ctx->trace : nullptr; }
     obs::MetricsRegistry* metrics_sink() const { return ctx != nullptr ? ctx->metrics : nullptr; }
 };

@@ -1,11 +1,10 @@
 #include "epa/frontier.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <utility>
 
 #include "common/antichain.hpp"
-#include "common/thread_pool.hpp"
+#include "common/ordered_sweep.hpp"
 
 namespace cprisk::epa {
 
@@ -110,8 +109,7 @@ Result<FrontierResult> run_frontier(const ErrorPropagationAnalysis& epa,
     span.arg("pruning", static_cast<long long>(result.pruning ? 1 : 0));
 
     Antichain<std::vector<Mutation>> hazardous;
-    const std::size_t jobs = ThreadPool::resolve(options.effective_jobs());
-    std::optional<ThreadPool> local_pool;
+    ThreadPool* pool = options.ctx != nullptr ? &options.ctx->pool() : nullptr;
 
     for (std::size_t card = 0; card <= result.max_card; ++card) {
         // Layer barrier: pruning consults only hazards from strictly
@@ -132,108 +130,38 @@ Result<FrontierResult> run_frontier(const ErrorPropagationAnalysis& epa,
         // journals stay byte-identical at any job count.
         if (options.priority != nullptr) options.priority->order(layer);
 
-        const auto evaluate_one =
-            [&](const security::AttackScenario& scenario) -> Result<ScenarioRecord> {
-            auto verdict = epa.evaluate(scenario, options.active_mitigations);
-            if (!verdict.ok()) return Result<ScenarioRecord>::failure(verdict.error());
-            ScenarioRecord record;
-            record.scenario_id = scenario.id;
-            record.verdict = std::move(verdict).value();
-            record.outcome = outcome_of(record.verdict);
-            hierarchy::StageOutcome stage;
-            stage.stage = "frontier";
-            stage.status = record.verdict.status;
-            stage.undetermined_reason = record.verdict.undetermined_reason;
-            record.stages.push_back(std::move(stage));
-            return record;
-        };
-
+        // Fresh records reach the `completed` hook strictly in candidate
+        // order, so journals are byte-identical at any job count.
         const std::size_t layer_start = result.records.size();
-        if (jobs <= 1 || layer.size() <= 1) {
-            for (const security::AttackScenario& scenario : layer) {
-                if (options.hooks.lookup) {
-                    std::optional<ScenarioRecord> replayed = options.hooks.lookup(scenario.id);
-                    if (replayed) {
-                        ++result.replayed;
-                        result.records.push_back(std::move(*replayed));
-                        continue;
-                    }
+        auto swept = ordered_sweep<ScenarioRecord>(
+            pool, layer.size(),
+            [&](std::size_t index) -> std::optional<ScenarioRecord> {
+                if (!options.hooks.lookup) return std::nullopt;
+                std::optional<ScenarioRecord> replayed = options.hooks.lookup(layer[index].id);
+                if (replayed) ++result.replayed;
+                return replayed;
+            },
+            [&](std::size_t index) -> Result<ScenarioRecord> {
+                auto verdict = epa.evaluate(layer[index], options.active_mitigations);
+                if (!verdict.ok()) return Result<ScenarioRecord>::failure(verdict.error());
+                ScenarioRecord record;
+                record.scenario_id = layer[index].id;
+                record.verdict = std::move(verdict).value();
+                record.outcome = outcome_of(record.verdict);
+                record.stages.push_back(hierarchy::StageOutcome{
+                    "frontier", record.verdict.status, record.verdict.undetermined_reason});
+                return record;
+            },
+            [&](std::size_t, ScenarioRecord&& record, bool replayed) -> Result<void> {
+                if (!replayed && options.hooks.completed) {
+                    auto appended = options.hooks.completed(record);
+                    if (!appended.ok()) return appended;
                 }
-                auto record = evaluate_one(scenario);
-                if (!record.ok()) return Result<FrontierResult>::failure(record.error());
-                if (options.hooks.completed) {
-                    auto appended = options.hooks.completed(record.value());
-                    if (!appended.ok()) return Result<FrontierResult>::failure(appended.error());
-                }
-                ++result.evaluated;
-                result.records.push_back(std::move(record).value());
-            }
-        } else {
-            // Parallel layer, the run_cegar drain idiom: replays resolve in
-            // a sequential pre-pass (the lookup hook mutates caller state);
-            // workers publish into slots and drain finished candidates to
-            // the `completed` hook in strict candidate order, so journals
-            // are byte-identical at any job count.
-            struct Slot {
-                bool replayed = false;
-                std::optional<Result<ScenarioRecord>> record;
-            };
-            std::vector<Slot> slots(layer.size());
-            std::vector<std::size_t> pending;
-            pending.reserve(layer.size());
-            for (std::size_t i = 0; i < layer.size(); ++i) {
-                if (options.hooks.lookup) {
-                    if (std::optional<ScenarioRecord> replayed =
-                            options.hooks.lookup(layer[i].id)) {
-                        ++result.replayed;
-                        slots[i].replayed = true;
-                        slots[i].record = Result<ScenarioRecord>(std::move(*replayed));
-                        continue;
-                    }
-                }
-                pending.push_back(i);
-            }
-
-            std::mutex drain_mutex;
-            std::size_t next_to_drain = 0;
-            std::optional<std::string> first_error;
-            const auto drain_ready_prefix_locked = [&] {
-                while (next_to_drain < slots.size() && !first_error &&
-                       slots[next_to_drain].record.has_value()) {
-                    Slot& slot = slots[next_to_drain];
-                    if (!slot.record->ok()) {
-                        first_error = slot.record->error();
-                        break;
-                    }
-                    if (!slot.replayed && options.hooks.completed) {
-                        auto appended = options.hooks.completed(slot.record->value());
-                        if (!appended.ok()) {
-                            first_error = appended.error();
-                            break;
-                        }
-                    }
-                    if (!slot.replayed) ++result.evaluated;
-                    result.records.push_back(std::move(*slot.record).value());
-                    ++next_to_drain;
-                }
-            };
-            {
-                std::lock_guard<std::mutex> lock(drain_mutex);
-                drain_ready_prefix_locked();
-            }
-            ThreadPool& pool =
-                options.ctx != nullptr ? options.ctx->pool() : local_pool.emplace(jobs);
-            pool.run_batch(pending.size(), [&](std::size_t k) {
-                const std::size_t index = pending[k];
-                auto record = evaluate_one(layer[index]);
-                std::lock_guard<std::mutex> lock(drain_mutex);
-                slots[index].record = std::move(record);
-                drain_ready_prefix_locked();
+                if (!replayed) ++result.evaluated;
+                result.records.push_back(std::move(record));
+                return {};
             });
-            std::lock_guard<std::mutex> lock(drain_mutex);
-            drain_ready_prefix_locked();
-            if (first_error) return Result<FrontierResult>::failure(*first_error);
-        }
+        if (!swept.ok()) return Result<FrontierResult>::failure(swept.error());
 
         // Fold the layer's outcomes into the antichain; layers ascend, so
         // an inserted hazard is minimal by construction (everything it

@@ -17,11 +17,11 @@
 //
 // Layers run through the existing machinery: the GroundedBase cache pins
 // each subset via assumptions, the absint prefilter decides statically
-// certifiable candidates without a CDCL search, and the layer's candidates
-// fan out over the RunContext's work-stealing pool. Finished candidates
-// drain to the journal hooks in strict candidate order (the run_cegar
-// idiom), so --exhaustive journals resume byte-identically at any job
-// count. See docs/exhaustive-search.md.
+// certifiable candidates without a CDCL search, and each layer runs through
+// the ordered sweep (common/ordered_sweep.hpp) on the RunContext's pool, as
+// run_cegar does: finished candidates drain to the journal hooks in strict
+// candidate order, so --exhaustive journals resume byte-identically at any
+// job count. See docs/exhaustive-search.md.
 #pragma once
 
 #include <cstddef>
@@ -61,7 +61,6 @@ struct FrontierOptions {
     /// Unified run state (budget, pool, trace, metrics); borrowed.
     RunContext* ctx = nullptr;
 
-    std::size_t effective_jobs() const { return ctx != nullptr ? ctx->jobs : 1; }
     obs::TraceSink* trace_sink() const { return ctx != nullptr ? ctx->trace : nullptr; }
     obs::MetricsRegistry* metrics_sink() const { return ctx != nullptr ? ctx->metrics : nullptr; }
 };

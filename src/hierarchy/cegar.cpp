@@ -1,9 +1,8 @@
 #include "hierarchy/cegar.hpp"
 
 #include <algorithm>
-#include <mutex>
 
-#include "common/thread_pool.hpp"
+#include "common/ordered_sweep.hpp"
 
 namespace cprisk::hierarchy {
 
@@ -175,98 +174,30 @@ Result<CegarResult> run_cegar(const std::vector<CegarStage>& stages,
     CegarResult result;
     result.records.reserve(space.size());
     const auto& scenarios = space.scenarios();
-    const std::size_t jobs = std::min(ThreadPool::resolve(options.effective_jobs()),
-                                      std::max<std::size_t>(scenarios.size(), 1));
-    if (jobs <= 1) {
-        for (const security::AttackScenario& scenario : scenarios) {
-            if (options.hooks.lookup) {
-                if (std::optional<ScenarioRecord> replayed = options.hooks.lookup(scenario.id)) {
-                    result.records.push_back(std::move(*replayed));
-                    continue;
-                }
+    ThreadPool* pool = options.ctx != nullptr ? &options.ctx->pool() : nullptr;
+    obs::set_gauge(options.metrics_sink(), "cegar.pool.lanes",
+                   static_cast<long long>(pool != nullptr ? pool->jobs() : 1));
+    // Fresh records reach the `completed` hook (journal append) strictly in
+    // scenario order; on failure the journal holds exactly the records
+    // preceding the first error.
+    auto swept = ordered_sweep<ScenarioRecord>(
+        pool, scenarios.size(),
+        [&](std::size_t index) -> std::optional<ScenarioRecord> {
+            if (!options.hooks.lookup) return std::nullopt;
+            return options.hooks.lookup(scenarios[index].id);
+        },
+        [&](std::size_t index) {
+            return walk_ladder(stages, analyses, scenarios[index], active_mitigations, options);
+        },
+        [&](std::size_t, ScenarioRecord&& record, bool replayed) -> Result<void> {
+            if (!replayed && options.hooks.completed) {
+                auto appended = options.hooks.completed(record);
+                if (!appended.ok()) return appended;
             }
-            auto record = walk_ladder(stages, analyses, scenario, active_mitigations, options);
-            if (!record.ok()) return Result<CegarResult>::failure(record.error());
-            if (options.hooks.completed) {
-                auto appended = options.hooks.completed(record.value());
-                if (!appended.ok()) return Result<CegarResult>::failure(appended.error());
-            }
-            result.records.push_back(std::move(record).value());
-        }
-    } else {
-        // Parallel walk. The lookup hook mutates caller state (resume
-        // counters), so replays are resolved in a sequential pre-pass; only
-        // the remaining scenarios go to the pool. Finished walks are drained
-        // in strict scenario order — the `completed` hook (journal append)
-        // fires for scenario i only once 0..i-1 are drained — so the journal
-        // is byte-identical to a sequential run at any job count, and on
-        // failure it holds exactly the records preceding the first error.
-        struct Slot {
-            bool replayed = false;
-            std::optional<Result<ScenarioRecord>> record;
-        };
-        std::vector<Slot> slots(scenarios.size());
-        std::vector<std::size_t> pending;
-        pending.reserve(scenarios.size());
-        for (std::size_t i = 0; i < scenarios.size(); ++i) {
-            if (options.hooks.lookup) {
-                if (std::optional<ScenarioRecord> replayed =
-                        options.hooks.lookup(scenarios[i].id)) {
-                    slots[i].replayed = true;
-                    slots[i].record = Result<ScenarioRecord>(std::move(*replayed));
-                    continue;
-                }
-            }
-            pending.push_back(i);
-        }
-
-        // drain_mutex guards the slots, the drain cursor, and first_error;
-        // workers publish their record and drain under one critical section.
-        std::mutex drain_mutex;
-        std::size_t next_to_drain = 0;
-        std::optional<std::string> first_error;
-        const auto drain_ready_prefix_locked = [&] {
-            while (next_to_drain < slots.size() && !first_error &&
-                   slots[next_to_drain].record.has_value()) {
-                Slot& slot = slots[next_to_drain];
-                if (!slot.record->ok()) {
-                    first_error = slot.record->error();
-                    break;
-                }
-                if (!slot.replayed && options.hooks.completed) {
-                    auto appended = options.hooks.completed(slot.record->value());
-                    if (!appended.ok()) {
-                        first_error = appended.error();
-                        break;
-                    }
-                }
-                result.records.push_back(std::move(*slot.record).value());
-                ++next_to_drain;
-            }
-        };
-
-        {
-            // Replayed prefix first: a journalled run may be all-replay.
-            std::lock_guard<std::mutex> lock(drain_mutex);
-            drain_ready_prefix_locked();
-        }
-        std::optional<ThreadPool> local_pool;
-        ThreadPool& pool =
-            options.ctx != nullptr ? options.ctx->pool() : local_pool.emplace(jobs);
-        obs::set_gauge(options.metrics_sink(), "cegar.pool.lanes",
-                       static_cast<long long>(pool.jobs()));
-        pool.run_batch(pending.size(), [&](std::size_t k) {
-            const std::size_t index = pending[k];
-            auto record =
-                walk_ladder(stages, analyses, scenarios[index], active_mitigations, options);
-            std::lock_guard<std::mutex> lock(drain_mutex);
-            slots[index].record = std::move(record);
-            drain_ready_prefix_locked();
+            result.records.push_back(std::move(record));
+            return {};
         });
-        std::lock_guard<std::mutex> lock(drain_mutex);
-        drain_ready_prefix_locked();
-        if (first_error) return Result<CegarResult>::failure(*first_error);
-    }
+    if (!swept.ok()) return Result<CegarResult>::failure(swept.error());
 
     for (const ScenarioRecord& record : result.records) {
         if (record.outcome == ScenarioOutcome::Confirmed) {

@@ -112,18 +112,18 @@ struct CegarOptions {
     /// (docs/static-analysis.md).
     bool static_prefilter = true;
     /// Unified run state: budget, worker pool, trace sink, metrics registry
-    /// (obs/run_context.hpp). Borrowed; must outlive the run. Worker lanes
-    /// come from ctx->jobs (0 = hardware concurrency, 1 = the sequential
-    /// engine); records, statistics, and the order of `completed` hook
-    /// invocations are independent of the value: finished walks are drained
-    /// to the hook strictly in scenario order (docs/performance.md).
+    /// (obs/run_context.hpp). Borrowed; must outlive the run; null runs the
+    /// sweep inline. Worker lanes come from ctx->jobs (0 = hardware
+    /// concurrency); records, statistics, and the order of `completed` hook
+    /// invocations are independent of the value: the ordered sweep
+    /// (common/ordered_sweep.hpp) drains finished walks to the hook strictly
+    /// in scenario order (docs/performance.md).
     RunContext* ctx = nullptr;
     CegarHooks hooks;
 
     /// Resolved views over the run context (see epa::EpaOptions for the
     /// idiom).
     Budget* effective_budget() const { return ctx != nullptr ? &ctx->budget : nullptr; }
-    std::size_t effective_jobs() const { return ctx != nullptr ? ctx->jobs : 1; }
     obs::TraceSink* trace_sink() const { return ctx != nullptr ? ctx->trace : nullptr; }
     obs::MetricsRegistry* metrics_sink() const { return ctx != nullptr ? ctx->metrics : nullptr; }
 };

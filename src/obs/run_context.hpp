@@ -3,10 +3,8 @@
 // RunContext: the one bundle of cross-cutting run state threaded by
 // reference through the whole assessment pipeline — resource budget,
 // fault-injection registry, worker pool, trace sink, and metrics registry.
-// It replaces the previous ad-hoc plumbing where `jobs` and `Budget*` were
-// duplicated across AssessmentConfig, EpaOptions, and CegarOptions and each
-// layer re-threaded them by hand (those fields survive as deprecated shims
-// for one release; see CHANGES.md).
+// It is the only home of `jobs` and the budget: no options struct carries
+// its own copy.
 //
 // Layers receive a `RunContext*` inside their options struct and read
 // everything run-scoped from it:
@@ -18,8 +16,8 @@
 //   ctx.metrics = &my_registry;      // optional; nullptr = metrics off
 //   report = assessment.run(config, ctx);
 //
-// A default-constructed RunContext reproduces the old defaults exactly:
-// unlimited budget, sequential execution, no observability. The context is
+// A default-constructed RunContext means: unlimited budget, one lane (every
+// sweep runs inline, in scenario order), no observability. The context is
 // borrowed by every layer and must outlive the run; it is non-copyable
 // (the budget's trip state and the lazily-built pool are identity).
 #pragma once
@@ -63,9 +61,9 @@ public:
     /// seams consult. Borrowed, never null.
     fault::FaultInjectionRegistry* faults = &fault::global_registry();
 
-    /// Worker lanes for parallel sweeps (0 = hardware concurrency, 1 = the
-    /// exact sequential engine). Never changes results, reports, or journal
-    /// bytes (docs/performance.md).
+    /// Worker lanes for parallel sweeps (0 = hardware concurrency; 1 runs
+    /// every sweep inline on the caller, in scenario order). Never changes
+    /// results, reports, or journal bytes (docs/performance.md).
     std::size_t jobs = 1;
 
     /// Bounded retry with jittered backoff for transient

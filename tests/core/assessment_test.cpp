@@ -24,6 +24,12 @@ protected:
         cs_ = nullptr;
     }
 
+    /// One run under a fresh, default RunContext.
+    static Result<AssessmentReport> run(const AssessmentConfig& config) {
+        RunContext ctx;
+        return assessment_->run(config, ctx);
+    }
+
     static WaterTankCaseStudy* cs_;
     static RiskAssessment* assessment_;
 };
@@ -37,7 +43,7 @@ TEST_F(AssessmentFixture, FullPipelineRuns) {
     config.max_simultaneous_faults = 2;
     config.include_attack_scenarios = false;
 
-    auto report = assessment_->run(config);
+    auto report = run(config);
     ASSERT_TRUE(report.ok()) << report.error();
     const AssessmentReport& r = report.value();
 
@@ -64,8 +70,8 @@ TEST_F(AssessmentFixture, CegarOffGivesSameHazards) {
     AssessmentConfig without = with_cegar;
     without.use_cegar = false;
 
-    auto a = assessment_->run(with_cegar);
-    auto b = assessment_->run(without);
+    auto a = run(with_cegar);
+    auto b = run(without);
     ASSERT_TRUE(a.ok()) << a.error();
     ASSERT_TRUE(b.ok()) << b.error();
     ASSERT_EQ(a.value().hazards.size(), b.value().hazards.size());
@@ -78,9 +84,9 @@ TEST_F(AssessmentFixture, DeployedMitigationsReduceHazards) {
     AssessmentConfig config;
     config.horizon = cs_->horizon;
     config.include_attack_scenarios = false;
-    auto baseline = assessment_->run(config);
+    auto baseline = run(config);
     config.active_mitigations = {"M-TRAIN", "M-ENDPOINT"};
-    auto hardened = assessment_->run(config);
+    auto hardened = run(config);
     ASSERT_TRUE(baseline.ok());
     ASSERT_TRUE(hardened.ok());
     EXPECT_LT(hardened.value().hazards.size(), baseline.value().hazards.size());
@@ -91,7 +97,7 @@ TEST_F(AssessmentFixture, BudgetLimitsSelection) {
     config.horizon = cs_->horizon;
     config.include_attack_scenarios = false;
     config.budget = 2;  // only User Training is affordable
-    auto report = assessment_->run(config);
+    auto report = run(config);
     ASSERT_TRUE(report.ok()) << report.error();
     EXPECT_LE(report.value().selection.mitigation_cost, 2);
 }
@@ -101,7 +107,7 @@ TEST_F(AssessmentFixture, MultiPhasePlanning) {
     config.horizon = cs_->horizon;
     config.include_attack_scenarios = false;
     config.phase_budget = 4;
-    auto report = assessment_->run(config);
+    auto report = run(config);
     ASSERT_TRUE(report.ok()) << report.error();
     EXPECT_FALSE(report.value().phases.empty());
     for (const auto& phase : report.value().phases) {
@@ -113,7 +119,7 @@ TEST_F(AssessmentFixture, RiskRatingsUseOraMatrix) {
     AssessmentConfig config;
     config.horizon = cs_->horizon;
     config.include_attack_scenarios = false;
-    auto report = assessment_->run(config);
+    auto report = run(config);
     ASSERT_TRUE(report.ok());
     for (const ScenarioRisk& risk : report.value().risks) {
         EXPECT_EQ(risk.risk, risk::ora_risk(risk.loss_magnitude, risk.loss_event_frequency));
@@ -126,7 +132,7 @@ TEST_F(AssessmentFixture, ReportTablesRender) {
     config.horizon = cs_->horizon;
     config.include_attack_scenarios = false;
     config.phase_budget = 4;
-    auto report = assessment_->run(config);
+    auto report = run(config);
     ASSERT_TRUE(report.ok());
     EXPECT_GT(report.value().hazard_table().rows(), 0u);
     EXPECT_GT(report.value().risk_table().rows(), 0u);
@@ -139,9 +145,9 @@ TEST_F(AssessmentFixture, AttackScenariosIncluded) {
     config.horizon = cs_->horizon;
     config.max_simultaneous_faults = 1;
     config.include_attack_scenarios = true;
-    auto with_attacks = assessment_->run(config);
+    auto with_attacks = run(config);
     config.include_attack_scenarios = false;
-    auto without = assessment_->run(config);
+    auto without = run(config);
     ASSERT_TRUE(with_attacks.ok()) << with_attacks.error();
     ASSERT_TRUE(without.ok());
     EXPECT_GT(with_attacks.value().scenario_count, without.value().scenario_count);
@@ -155,8 +161,9 @@ TEST_F(AssessmentFixture, CatalogAddsVulnerabilityScenarios) {
     config.horizon = cs_->horizon;
     config.max_simultaneous_faults = 1;
     config.include_attack_scenarios = false;
-    auto with = with_catalog.run(config);
-    auto without = assessment_->run(config);
+    RunContext catalog_ctx;
+    auto with = with_catalog.run(config, catalog_ctx);
+    auto without = run(config);
     ASSERT_TRUE(with.ok()) << with.error();
     ASSERT_TRUE(without.ok());
     EXPECT_GT(with.value().scenario_count, without.value().scenario_count);

@@ -19,7 +19,8 @@ const AssessmentReport& sample_report() {
         config.horizon = built.value().horizon;
         config.include_attack_scenarios = false;
         config.phase_budget = 6;
-        auto run = assessment.run(config);
+        RunContext ctx;
+        auto run = assessment.run(config, ctx);
         EXPECT_TRUE(run.ok()) << run.error();
         return run.ok() ? std::move(run).value() : AssessmentReport{};
     }();
@@ -112,7 +113,8 @@ TEST(Report, ParetoSectionRendersOnlyWhenComputed) {
     config.horizon = built.value().horizon;
     config.include_attack_scenarios = false;
     config.pareto = true;
-    auto run = assessment.run(config);
+    RunContext ctx;
+    auto run = assessment.run(config, ctx);
     ASSERT_TRUE(run.ok()) << run.error();
     const AssessmentReport& report = run.value();
     ASSERT_TRUE(report.pareto.has_value());

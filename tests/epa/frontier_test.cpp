@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <string>
 #include <utility>
@@ -154,6 +155,12 @@ TEST(FrontierScenario, IdsAreDeterministic) {
     EXPECT_EQ(frontier_scenario_id({{"a", "f"}, {"b", "g"}}), "exh:a.f+b.g");
 }
 
+/// Prints the study's name, not the factory's address, so discovered test
+/// names are the same in every build.
+void PrintTo(Study (*make)(), std::ostream* os) {
+    *os << (make == &make_watertank ? "watertank" : "chain6");
+}
+
 class FrontierDifferential : public ::testing::TestWithParam<Study (*)()> {};
 
 TEST_P(FrontierDifferential, AntichainMatchesBruteForceAcrossConfigurations) {
@@ -285,6 +292,15 @@ std::string renderings(const core::AssessmentReport& report) {
            "\n===\n" + core::render_report_json(report);
 }
 
+/// One run under a fresh context with `jobs` worker lanes.
+Result<core::AssessmentReport> run_at(const core::RiskAssessment& assessment,
+                                      const core::AssessmentConfig& config,
+                                      std::size_t jobs = 1) {
+    RunContext ctx;
+    ctx.jobs = jobs;
+    return assessment.run(config, ctx);
+}
+
 class ExhaustiveJournalTest : public ::testing::Test {
 protected:
     void SetUp() override { fault::reset(); }
@@ -303,7 +319,7 @@ TEST_F(ExhaustiveJournalTest, ResumeAfterMidRunKillReproducesCleanReport) {
     config.exhaustive = true;
     config.max_card = 2;
 
-    auto clean = assessment.run(config);
+    auto clean = run_at(assessment, config);
     ASSERT_TRUE(clean.ok()) << clean.error();
     EXPECT_TRUE(clean.value().exhaustive.enabled);
 
@@ -312,7 +328,7 @@ TEST_F(ExhaustiveJournalTest, ResumeAfterMidRunKillReproducesCleanReport) {
     core::AssessmentConfig journaled = config;
     journaled.journal_path = journal;
     fault::arm("core.journal.append", 3);
-    auto killed = assessment.run(journaled);
+    auto killed = run_at(assessment, journaled);
     fault::reset();
     ASSERT_FALSE(killed.ok());
 
@@ -323,13 +339,12 @@ TEST_F(ExhaustiveJournalTest, ResumeAfterMidRunKillReproducesCleanReport) {
     // Resume under a different job count: frontier journals drain in strict
     // candidate order, so the bytes and the report are identical anyway.
     journaled.resume = true;
-    journaled.jobs = 4;
-    auto resumed = assessment.run(journaled);
+    auto resumed = run_at(assessment, journaled, 4);
     ASSERT_TRUE(resumed.ok()) << resumed.error();
     EXPECT_EQ(resumed.value().resumed_scenarios, 2u);
     EXPECT_EQ(renderings(resumed.value()), renderings(clean.value()));
 
-    auto replayed = assessment.run(journaled);
+    auto replayed = run_at(assessment, journaled);
     ASSERT_TRUE(replayed.ok()) << replayed.error();
     EXPECT_EQ(replayed.value().resumed_scenarios, replayed.value().scenario_count);
     EXPECT_EQ(renderings(replayed.value()), renderings(clean.value()));
@@ -351,19 +366,19 @@ TEST_F(ExhaustiveJournalTest, ExhaustiveJournalRefusesNonExhaustiveResume) {
     config.exhaustive = true;
     config.max_card = 2;
     config.journal_path = journal;
-    ASSERT_TRUE(assessment.run(config).ok());
+    ASSERT_TRUE(run_at(assessment, config).ok());
 
     core::AssessmentConfig mismatched = config;
     mismatched.resume = true;
     mismatched.exhaustive = false;
-    auto refused = assessment.run(mismatched);
+    auto refused = run_at(assessment, mismatched);
     ASSERT_FALSE(refused.ok());
     EXPECT_NE(refused.error().find("configuration"), std::string::npos) << refused.error();
 
     core::AssessmentConfig card_mismatch = config;
     card_mismatch.resume = true;
     card_mismatch.max_card = 3;
-    auto card_refused = assessment.run(card_mismatch);
+    auto card_refused = run_at(assessment, card_mismatch);
     ASSERT_FALSE(card_refused.ok());
     EXPECT_NE(card_refused.error().find("configuration"), std::string::npos)
         << card_refused.error();

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -80,6 +81,12 @@ std::string signature(const ScenarioVerdict& verdict) {
     out += "|mitigations=";
     for (const auto& id : verdict.active_mitigations) out += id + ",";
     return out;
+}
+
+/// Prints the study's name, not the factory's address, so discovered test
+/// names are the same in every build.
+void PrintTo(Study (*make)(), std::ostream* os) {
+    *os << (make == &make_watertank ? "watertank" : "reactor");
 }
 
 class GroundCacheDifferential : public ::testing::TestWithParam<Study (*)()> {};

@@ -1,7 +1,7 @@
 // RunContext tests (docs/observability.md): defaults reproduce the old
 // behaviour exactly, the pool is built lazily and shared, and the EpaOptions/
 // CegarOptions accessors resolve everything through the attached context
-// (plain options without one run sequential and unbudgeted).
+// (plain options without one run inline and unbudgeted).
 #include "common/strings.hpp"
 #include "obs/run_context.hpp"
 
@@ -39,8 +39,7 @@ TEST(RunContextTest, PoolIsLazyAndSticky) {
 
 TEST(RunContextTest, EpaOptionsResolveThroughContext) {
     epa::EpaOptions options;
-    // No context: sequential, unbudgeted, uninstrumented.
-    EXPECT_EQ(options.effective_jobs(), 1u);
+    // No context: unbudgeted, uninstrumented.
     EXPECT_EQ(options.effective_budget(), nullptr);
     EXPECT_EQ(options.trace_sink(), nullptr);
     EXPECT_EQ(options.metrics_sink(), nullptr);
@@ -50,21 +49,18 @@ TEST(RunContextTest, EpaOptionsResolveThroughContext) {
     obs::MetricsRegistry metrics;
     ctx.metrics = &metrics;
     options.ctx = &ctx;
-    EXPECT_EQ(options.effective_jobs(), 2u);
     EXPECT_EQ(options.effective_budget(), &ctx.budget);
     EXPECT_EQ(options.metrics_sink(), &metrics);
 }
 
 TEST(RunContextTest, CegarOptionsResolveThroughContext) {
     hierarchy::CegarOptions options;
-    EXPECT_EQ(options.effective_jobs(), 1u);
     EXPECT_EQ(options.effective_budget(), nullptr);
     RunContext ctx;
     ctx.jobs = 3;
     obs::ChromeTraceSink trace;
     ctx.trace = &trace;
     options.ctx = &ctx;
-    EXPECT_EQ(options.effective_jobs(), 3u);
     EXPECT_EQ(options.trace_sink(), &trace);
 }
 

@@ -103,7 +103,8 @@ TEST_F(CancelResumeTest, FullyCancelledRunResumesFromScratch) {
     config.horizon = cs->horizon;
     config.include_attack_scenarios = false;
 
-    auto clean = assessment.run(config);
+    RunContext clean_ctx;
+    auto clean = assessment.run(config, clean_ctx);
     ASSERT_TRUE(clean.ok()) << clean.error();
 
     const std::string journal = ::testing::TempDir() + "cprisk_cancel_all.jsonl";
@@ -116,7 +117,8 @@ TEST_F(CancelResumeTest, FullyCancelledRunResumesFromScratch) {
     AssessmentConfig cancelled_config = config;
     cancelled_config.journal_path = journal;
     cancelled_config.cancel = token;
-    auto cancelled = assessment.run(cancelled_config);
+    RunContext cancelled_ctx;
+    auto cancelled = assessment.run(cancelled_config, cancelled_ctx);
     ASSERT_TRUE(cancelled.ok()) << cancelled.error();
     EXPECT_FALSE(cancelled.value().complete());
 
@@ -125,7 +127,8 @@ TEST_F(CancelResumeTest, FullyCancelledRunResumesFromScratch) {
     AssessmentConfig resume_config = config;
     resume_config.journal_path = journal;
     resume_config.resume = true;
-    auto resumed = assessment.run(resume_config);
+    RunContext resume_ctx;
+    auto resumed = assessment.run(resume_config, resume_ctx);
     ASSERT_TRUE(resumed.ok()) << resumed.error();
     EXPECT_EQ(resumed.value().resumed_scenarios, 0u);
     EXPECT_TRUE(resumed.value().complete());

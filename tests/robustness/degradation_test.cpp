@@ -50,6 +50,12 @@ protected:
         return ids;
     }
 
+    /// One run under a fresh, default RunContext.
+    static Result<AssessmentReport> run(const AssessmentConfig& config) {
+        RunContext ctx;
+        return assessment_->run(config, ctx);
+    }
+
     static WaterTankCaseStudy* cs_;
     static RiskAssessment* assessment_;
 };
@@ -63,7 +69,7 @@ TEST_F(DegradationFixture, CancelledRunSucceedsWithEverythingUndetermined) {
     cancel.request_cancel();  // starved from the first budget check
     config.cancel = cancel;
 
-    auto report = assessment_->run(config);
+    auto report = run(config);
     ASSERT_TRUE(report.ok()) << report.error();
     const AssessmentReport& r = report.value();
     EXPECT_FALSE(r.complete());
@@ -81,7 +87,7 @@ TEST_F(DegradationFixture, UndeterminedScenariosAreSortedById) {
     CancelToken cancel;
     cancel.request_cancel();
     config.cancel = cancel;
-    auto report = assessment_->run(config);
+    auto report = run(config);
     ASSERT_TRUE(report.ok());
     const auto& u = report.value().undetermined;
     ASSERT_GT(u.size(), 1u);
@@ -95,7 +101,7 @@ TEST_F(DegradationFixture, PartialReportRenderingsFlagIncompleteness) {
     CancelToken cancel;
     cancel.request_cancel();
     config.cancel = cancel;
-    auto report = assessment_->run(config);
+    auto report = run(config);
     ASSERT_TRUE(report.ok());
     const AssessmentReport& r = report.value();
 
@@ -115,7 +121,7 @@ TEST_F(DegradationFixture, PartialReportRenderingsFlagIncompleteness) {
 }
 
 TEST_F(DegradationFixture, CompleteRunRendersExhaustive) {
-    auto report = assessment_->run(base_config());
+    auto report = run(base_config());
     ASSERT_TRUE(report.ok()) << report.error();
     EXPECT_TRUE(report.value().complete());
     const std::string md = render_markdown(report.value());
@@ -124,12 +130,12 @@ TEST_F(DegradationFixture, CompleteRunRendersExhaustive) {
 }
 
 TEST_F(DegradationFixture, InjectedSolverFailureDegradesOneScenarioSoundly) {
-    auto clean = assessment_->run(base_config());
+    auto clean = run(base_config());
     ASSERT_TRUE(clean.ok()) << clean.error();
     const std::set<std::string> clean_hazards = hazard_ids(clean.value());
 
     fault::arm("asp.solver.solve", 1);
-    auto partial = assessment_->run(base_config());
+    auto partial = run(base_config());
     fault::reset();
     ASSERT_TRUE(partial.ok()) << partial.error();
     const AssessmentReport& r = partial.value();
@@ -154,7 +160,7 @@ TEST_F(DegradationFixture, StarvedRunRecordsDegradedRetryInJournal) {
     config.cancel = cancel;
     config.journal_path = journal;
 
-    auto report = assessment_->run(config);
+    auto report = run(config);
     ASSERT_TRUE(report.ok()) << report.error();
 
     auto contents = load_journal(journal);

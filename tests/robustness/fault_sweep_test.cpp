@@ -47,12 +47,18 @@ protected:
         c.horizon = cs_->horizon;
         c.include_attack_scenarios = false;
         c.journal_path = journal;
-        c.jobs = GetParam();
         // The static prefilter decides every watertank scenario without a
         // solver call, which would leave the asp.solver.* seams unregistered
         // and unswept. The prefilter's own seam has a dedicated test below.
         c.static_prefilter = false;
         return c;
+    }
+
+    /// One run under a fresh context with the parameter's worker lanes.
+    static Result<AssessmentReport> run(const AssessmentConfig& c) {
+        RunContext ctx;
+        ctx.jobs = GetParam();
+        return assessment_->run(c, ctx);
     }
 
     static std::set<std::string> hazard_ids(const AssessmentReport& report) {
@@ -72,7 +78,7 @@ TEST_P(FaultSweepFixture, EveryFailureSeamDegradesCleanly) {
     // A clean journaled reference run hits (and thereby registers) every
     // site; the sweep below therefore covers seams added later for free.
     const std::string reference_journal = ::testing::TempDir() + "cprisk_sweep_ref.jsonl";
-    auto clean = assessment_->run(config(reference_journal));
+    auto clean = run(config(reference_journal));
     ASSERT_TRUE(clean.ok()) << clean.error();
     const std::set<std::string> clean_hazards = hazard_ids(clean.value());
     std::remove(reference_journal.c_str());
@@ -95,7 +101,7 @@ TEST_P(FaultSweepFixture, EveryFailureSeamDegradesCleanly) {
             fault::reset();
             fault::arm(site, countdown);
 
-            auto report = assessment_->run(config(journal));
+            auto report = run(config(journal));
             fault::reset();
 
             if (!report.ok()) {
@@ -128,7 +134,7 @@ TEST_P(FaultSweepFixture, EveryFailureSeamDegradesCleanly) {
 
 TEST_P(FaultSweepFixture, SolverFaultMidRunStillDecidesOtherScenarios) {
     fault::arm("asp.solver.solve", 4);
-    auto report = assessment_->run(config(""));
+    auto report = run(config(""));
     fault::reset();
     ASSERT_TRUE(report.ok()) << report.error();
     const AssessmentReport& r = report.value();
@@ -144,7 +150,7 @@ TEST_P(FaultSweepFixture, PrefilterFaultFallsBackToTheSolver) {
     AssessmentConfig prefiltered = config("");
     prefiltered.static_prefilter = true;
 
-    auto clean = assessment_->run(prefiltered);
+    auto clean = run(prefiltered);
     ASSERT_TRUE(clean.ok()) << clean.error();
     ASSERT_GT(clean.value().statically_resolved, 0u);
     const std::vector<std::string> sites = fault::registered_sites();
@@ -157,7 +163,7 @@ TEST_P(FaultSweepFixture, PrefilterFaultFallsBackToTheSolver) {
         SCOPED_TRACE("countdown=" + std::to_string(countdown));
         fault::reset();
         fault::arm("epa.absint.prefilter", countdown);
-        auto report = assessment_->run(prefiltered);
+        auto report = run(prefiltered);
         fault::reset();
         ASSERT_TRUE(report.ok()) << report.error();
         EXPECT_TRUE(report.value().complete());

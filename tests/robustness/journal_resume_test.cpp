@@ -25,6 +25,12 @@ struct Bundle {
 
     // Keeps the borrowed inputs alive.
     std::shared_ptr<void> owner;
+
+    /// One run under a fresh, default RunContext.
+    Result<AssessmentReport> run(const AssessmentConfig& run_config) const {
+        RunContext ctx;
+        return assessment->run(run_config, ctx);
+    }
 };
 
 Bundle make_watertank() {
@@ -81,7 +87,7 @@ TEST_P(JournalResumeTest, ResumeAfterMidRunKillReproducesCleanReport) {
         ::testing::TempDir() + "cprisk_" + bundle.name + "_kill.jsonl";
     std::remove(journal.c_str());
 
-    auto clean = bundle.assessment->run(bundle.config);
+    auto clean = bundle.run(bundle.config);
     ASSERT_TRUE(clean.ok()) << clean.error();
 
     // "Kill" the run: the journal write for the 3rd scenario tears mid-line
@@ -89,7 +95,7 @@ TEST_P(JournalResumeTest, ResumeAfterMidRunKillReproducesCleanReport) {
     AssessmentConfig journaled = bundle.config;
     journaled.journal_path = journal;
     fault::arm("core.journal.append", 3);
-    auto killed = bundle.assessment->run(journaled);
+    auto killed = bundle.run(journaled);
     fault::reset();
     ASSERT_FALSE(killed.ok());
     EXPECT_NE(killed.error().find("journal"), std::string::npos) << killed.error();
@@ -102,13 +108,13 @@ TEST_P(JournalResumeTest, ResumeAfterMidRunKillReproducesCleanReport) {
 
     // Resume: replays the journal, finishes the rest, byte-identical output.
     journaled.resume = true;
-    auto resumed = bundle.assessment->run(journaled);
+    auto resumed = bundle.run(journaled);
     ASSERT_TRUE(resumed.ok()) << resumed.error();
     EXPECT_EQ(resumed.value().resumed_scenarios, 2u);
     EXPECT_EQ(renderings(resumed.value()), renderings(clean.value()));
 
     // A second resume replays everything and still matches.
-    auto replayed = bundle.assessment->run(journaled);
+    auto replayed = bundle.run(journaled);
     ASSERT_TRUE(replayed.ok()) << replayed.error();
     EXPECT_EQ(replayed.value().resumed_scenarios, replayed.value().scenario_count);
     EXPECT_EQ(renderings(replayed.value()), renderings(clean.value()));
@@ -124,14 +130,14 @@ TEST_P(JournalResumeTest, SyncedJournalTearsAndResumesIdentically) {
         ::testing::TempDir() + "cprisk_" + bundle.name + "_sync.jsonl";
     std::remove(journal.c_str());
 
-    auto clean = bundle.assessment->run(bundle.config);
+    auto clean = bundle.run(bundle.config);
     ASSERT_TRUE(clean.ok()) << clean.error();
 
     AssessmentConfig journaled = bundle.config;
     journaled.journal_path = journal;
     journaled.journal_sync = true;
     fault::arm("core.journal.append", 3);
-    auto killed = bundle.assessment->run(journaled);
+    auto killed = bundle.run(journaled);
     fault::reset();
     ASSERT_FALSE(killed.ok());
 
@@ -141,7 +147,7 @@ TEST_P(JournalResumeTest, SyncedJournalTearsAndResumesIdentically) {
     EXPECT_EQ(contents.value().records.size(), 2u);
 
     journaled.resume = true;
-    auto resumed = bundle.assessment->run(journaled);
+    auto resumed = bundle.run(journaled);
     ASSERT_TRUE(resumed.ok()) << resumed.error();
     EXPECT_EQ(resumed.value().resumed_scenarios, 2u);
     EXPECT_EQ(renderings(resumed.value()), renderings(clean.value()));
@@ -157,11 +163,11 @@ TEST_P(JournalResumeTest, ResumeRefusesJournalFromDifferentConfiguration) {
 
     AssessmentConfig journaled = bundle.config;
     journaled.journal_path = journal;
-    ASSERT_TRUE(bundle.assessment->run(journaled).ok());
+    ASSERT_TRUE(bundle.run(journaled).ok());
 
     journaled.resume = true;
     journaled.horizon += 1;  // verdict-affecting change
-    auto mismatched = bundle.assessment->run(journaled);
+    auto mismatched = bundle.run(journaled);
     ASSERT_FALSE(mismatched.ok());
     EXPECT_NE(mismatched.error().find("configuration"), std::string::npos)
         << mismatched.error();
@@ -169,7 +175,7 @@ TEST_P(JournalResumeTest, ResumeRefusesJournalFromDifferentConfiguration) {
     // A deadline change is run-specific and must NOT invalidate the journal.
     journaled.horizon -= 1;
     journaled.deadline_ms = 600000;
-    auto compatible = bundle.assessment->run(journaled);
+    auto compatible = bundle.run(journaled);
     EXPECT_TRUE(compatible.ok()) << compatible.error();
     std::remove(journal.c_str());
 }

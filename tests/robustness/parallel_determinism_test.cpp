@@ -1,6 +1,6 @@
 // Determinism across --jobs: the worker count must never change a single
 // output byte. Reports (markdown/CSV/JSON), journals, and resumed runs are
-// compared byte-for-byte between jobs=1 (the sequential engine) and jobs=8,
+// compared byte-for-byte between jobs=1 (the inline sweep) and jobs=8,
 // over both case-study bundles, including an interrupted-then-resumed run
 // and a resume under a *different* job count than the original run.
 #include <gtest/gtest.h>
@@ -68,6 +68,14 @@ std::string renderings(const AssessmentReport& report) {
            render_report_json(report);
 }
 
+/// One run under a fresh context with `jobs` worker lanes.
+Result<AssessmentReport> run_at(const RiskAssessment& assessment, const AssessmentConfig& config,
+                                std::size_t jobs) {
+    RunContext ctx;
+    ctx.jobs = jobs;
+    return assessment.run(config, ctx);
+}
+
 std::string file_bytes(const std::string& path) {
     std::ifstream file(path, std::ios::binary);
     EXPECT_TRUE(file.good()) << path;
@@ -94,15 +102,13 @@ TEST_P(ParallelDeterminismTest, ReportsAndJournalsAreByteIdenticalAcrossJobs) {
     std::remove(journal_par.c_str());
 
     AssessmentConfig sequential = bundle.config;
-    sequential.jobs = 1;
     sequential.journal_path = journal_seq;
-    auto seq_report = bundle.assessment->run(sequential);
+    auto seq_report = run_at(*bundle.assessment, sequential, 1);
     ASSERT_TRUE(seq_report.ok()) << seq_report.error();
 
     AssessmentConfig parallel = bundle.config;
-    parallel.jobs = 8;
     parallel.journal_path = journal_par;
-    auto par_report = bundle.assessment->run(parallel);
+    auto par_report = run_at(*bundle.assessment, parallel, 8);
     ASSERT_TRUE(par_report.ok()) << par_report.error();
 
     EXPECT_EQ(renderings(seq_report.value()), renderings(par_report.value()));
@@ -119,19 +125,16 @@ TEST_P(ParallelDeterminismTest, InterruptedParallelRunResumesUnderAnyJobCount) {
         ::testing::TempDir() + "cprisk_" + bundle.name + "_parkill.jsonl";
     std::remove(journal.c_str());
 
-    AssessmentConfig plain = bundle.config;
-    plain.jobs = 1;
-    auto clean = bundle.assessment->run(plain);
+    auto clean = run_at(*bundle.assessment, bundle.config, 1);
     ASSERT_TRUE(clean.ok()) << clean.error();
 
     // Kill a jobs=8 run on its 3rd journal append. Appends are drained in
     // scenario order at any job count, so exactly the first two records
     // survive — same as a sequential kill.
     AssessmentConfig journaled = bundle.config;
-    journaled.jobs = 8;
     journaled.journal_path = journal;
     fault::arm("core.journal.append", 3);
-    auto killed = bundle.assessment->run(journaled);
+    auto killed = run_at(*bundle.assessment, journaled, 8);
     fault::reset();
     ASSERT_FALSE(killed.ok());
     auto contents = load_journal(journal);
@@ -140,9 +143,8 @@ TEST_P(ParallelDeterminismTest, InterruptedParallelRunResumesUnderAnyJobCount) {
 
     // Resume under a different job count: jobs is deliberately not part of
     // the journal's config echo, and the result must match the clean run.
-    journaled.jobs = 1;
     journaled.resume = true;
-    auto resumed_seq = bundle.assessment->run(journaled);
+    auto resumed_seq = run_at(*bundle.assessment, journaled, 1);
     ASSERT_TRUE(resumed_seq.ok()) << resumed_seq.error();
     EXPECT_EQ(resumed_seq.value().resumed_scenarios, 2u);
     EXPECT_EQ(renderings(resumed_seq.value()), renderings(clean.value()));
@@ -152,12 +154,11 @@ TEST_P(ParallelDeterminismTest, InterruptedParallelRunResumesUnderAnyJobCount) {
     // after resume must be byte-identical to the jobs=1 resume.
     std::remove(journal.c_str());
     journaled.resume = false;
-    journaled.jobs = 8;
     fault::arm("core.journal.append", 3);
-    ASSERT_FALSE(bundle.assessment->run(journaled).ok());
+    ASSERT_FALSE(run_at(*bundle.assessment, journaled, 8).ok());
     fault::reset();
     journaled.resume = true;
-    auto resumed_par = bundle.assessment->run(journaled);
+    auto resumed_par = run_at(*bundle.assessment, journaled, 8);
     ASSERT_TRUE(resumed_par.ok()) << resumed_par.error();
     EXPECT_EQ(resumed_par.value().resumed_scenarios, 2u);
     EXPECT_EQ(renderings(resumed_par.value()), renderings(clean.value()));
@@ -171,14 +172,10 @@ TEST_P(ParallelDeterminismTest, AutoJobsMatchesSequentialOutput) {
     Bundle bundle = GetParam()();
     ASSERT_NE(bundle.assessment, nullptr);
 
-    AssessmentConfig sequential = bundle.config;
-    sequential.jobs = 1;
-    auto seq_report = bundle.assessment->run(sequential);
+    auto seq_report = run_at(*bundle.assessment, bundle.config, 1);
     ASSERT_TRUE(seq_report.ok()) << seq_report.error();
 
-    AssessmentConfig automatic = bundle.config;
-    automatic.jobs = 0;
-    auto auto_report = bundle.assessment->run(automatic);
+    auto auto_report = run_at(*bundle.assessment, bundle.config, 0);
     ASSERT_TRUE(auto_report.ok()) << auto_report.error();
     EXPECT_EQ(renderings(seq_report.value()), renderings(auto_report.value()));
 }

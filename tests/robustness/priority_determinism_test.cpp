@@ -46,6 +46,14 @@ std::string renderings(const AssessmentReport& report) {
            render_report_json(report);
 }
 
+/// One run under a fresh context with `jobs` worker lanes.
+Result<AssessmentReport> run_at(const RiskAssessment& assessment, const AssessmentConfig& config,
+                                std::size_t jobs = 1) {
+    RunContext ctx;
+    ctx.jobs = jobs;
+    return assessment.run(config, ctx);
+}
+
 std::string file_bytes(const std::string& path) {
     std::ifstream file(path, std::ios::binary);
     EXPECT_TRUE(file.good()) << path;
@@ -76,10 +84,9 @@ TEST_F(PriorityDeterminismTest, ByteIdenticalAcrossJobsAndPrefilter) {
                                         (prefilter ? "_pf" : "_nopf") + ".jsonl";
             std::remove(journal.c_str());
             AssessmentConfig config = fixture.config;
-            config.jobs = jobs;
             config.static_prefilter = prefilter;
             config.journal_path = journal;
-            auto report = fixture.assessment->run(config);
+            auto report = run_at(*fixture.assessment, config, jobs);
             ASSERT_TRUE(report.ok()) << report.error();
             const std::string rendered = renderings(report.value());
             const std::string journal_bytes = file_bytes(journal);
@@ -105,7 +112,7 @@ TEST_F(PriorityDeterminismTest, JournalEchoesPolicyAndOrdersByDescendingRisk) {
     std::remove(journal.c_str());
     AssessmentConfig config = fixture.config;
     config.journal_path = journal;
-    ASSERT_TRUE(fixture.assessment->run(config).ok());
+    ASSERT_TRUE(run_at(*fixture.assessment, config).ok());
 
     auto contents = load_journal(journal);
     ASSERT_TRUE(contents.ok()) << contents.error();
@@ -132,16 +139,15 @@ TEST_F(PriorityDeterminismTest, KilledSweepResumesByteIdentically) {
     const std::string journal = ::testing::TempDir() + "cprisk_prio_kill.jsonl";
     std::remove(journal.c_str());
 
-    auto clean = fixture.assessment->run(fixture.config);
+    auto clean = run_at(*fixture.assessment, fixture.config);
     ASSERT_TRUE(clean.ok()) << clean.error();
 
     // Kill on the 3rd journal append: exactly the two highest-risk
     // scenarios survive, regardless of job count.
     AssessmentConfig journaled = fixture.config;
-    journaled.jobs = 8;
     journaled.journal_path = journal;
     fault::arm("core.journal.append", 3);
-    ASSERT_FALSE(fixture.assessment->run(journaled).ok());
+    ASSERT_FALSE(run_at(*fixture.assessment, journaled, 8).ok());
     fault::reset();
     auto partial = load_journal(journal);
     ASSERT_TRUE(partial.ok()) << partial.error();
@@ -151,9 +157,8 @@ TEST_F(PriorityDeterminismTest, KilledSweepResumesByteIdentically) {
 
     // Resume under a different job count; the report must match the clean
     // run byte-for-byte.
-    journaled.jobs = 1;
     journaled.resume = true;
-    auto resumed = fixture.assessment->run(journaled);
+    auto resumed = run_at(*fixture.assessment, journaled, 1);
     ASSERT_TRUE(resumed.ok()) << resumed.error();
     EXPECT_EQ(resumed.value().resumed_scenarios, 2u);
     EXPECT_EQ(renderings(resumed.value()), renderings(clean.value()));
@@ -162,12 +167,12 @@ TEST_F(PriorityDeterminismTest, KilledSweepResumesByteIdentically) {
 
 TEST_F(PriorityDeterminismTest, EnumerationPolicyKeepsTheVerdictSet) {
     Fixture fixture = make_fixture();
-    auto prioritized = fixture.assessment->run(fixture.config);
+    auto prioritized = run_at(*fixture.assessment, fixture.config);
     ASSERT_TRUE(prioritized.ok()) << prioritized.error();
 
     AssessmentConfig enumeration = fixture.config;
     enumeration.priority_policy = risk::PriorityPolicy::Enumeration;
-    auto enumerated = fixture.assessment->run(enumeration);
+    auto enumerated = run_at(*fixture.assessment, enumeration);
     ASSERT_TRUE(enumerated.ok()) << enumerated.error();
 
     // Same hazards and risks; only the evaluation (and journal) order and

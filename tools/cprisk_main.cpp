@@ -498,6 +498,7 @@ int cmd_assess(int argc, char** argv) {
     const std::string path = argv[0];
     cprisk::core::AssessmentConfig config;
     config.include_attack_scenarios = false;  // opt-in via --attack-scenarios
+    cprisk::core::RunContext ctx;
     std::optional<std::string> markdown_path;
     std::optional<std::string> csv_path;
     std::optional<std::string> json_path;
@@ -550,7 +551,7 @@ int cmd_assess(int argc, char** argv) {
             if (parser.value(value)) config.max_decisions = static_cast<std::size_t>(value);
         } else if (parser.is("--jobs")) {
             // 0 = hardware concurrency
-            if (parser.value(value)) config.jobs = static_cast<std::size_t>(value);
+            if (parser.value(value)) ctx.jobs = static_cast<std::size_t>(value);
         } else if (parser.is("--exhaustive")) {
             config.exhaustive = true;
         } else if (parser.is("--max-card")) {
@@ -618,8 +619,6 @@ int cmd_assess(int argc, char** argv) {
     const bool observing = trace_path.has_value() || metrics_path.has_value();
     cprisk::obs::ChromeTraceSink trace_sink;
     cprisk::obs::MetricsRegistry metrics_registry;
-    cprisk::core::RunContext ctx;
-    ctx.jobs = config.jobs;
     if (trace_path) ctx.trace = &trace_sink;
     if (metrics_path) ctx.metrics = &metrics_registry;
 
@@ -710,6 +709,7 @@ int cmd_mitigate(int argc, char** argv) {
     const std::string path = argv[0];
     cprisk::core::AssessmentConfig config;
     config.include_attack_scenarios = false;  // opt-in via --attack-scenarios
+    cprisk::core::RunContext ctx;
     std::optional<std::string> markdown_path;
     std::optional<std::string> csv_path;
     std::optional<std::string> json_path;
@@ -735,7 +735,7 @@ int cmd_mitigate(int argc, char** argv) {
         } else if (parser.is("--phase-budget")) {
             if (parser.value(value)) config.phase_budget = value;
         } else if (parser.is("--jobs")) {
-            if (parser.value(value)) config.jobs = static_cast<std::size_t>(value);
+            if (parser.value(value)) ctx.jobs = static_cast<std::size_t>(value);
         } else if (parser.is("--markdown")) {
             if (parser.value(text)) markdown_path = text;
         } else if (parser.is("--csv")) {
@@ -766,7 +766,7 @@ int cmd_mitigate(int argc, char** argv) {
     cprisk::core::RiskAssessment assessment(b.model, b.effective_behavioral(),
                                             b.effective_topology(), matrix, mitigations,
                                             &catalog);
-    auto report = assessment.run(config);
+    auto report = assessment.run(config, ctx);
     if (!report.ok()) {
         std::fprintf(stderr, "assessment failed: %s\n", report.error().c_str());
         return 1;
