@@ -19,6 +19,7 @@
 #include "epa/epa.hpp"
 #include "epa/frontier.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "risk/prior.hpp"
 #include "security/scenario.hpp"
 #include "serve/model_cache.hpp"
@@ -524,6 +525,47 @@ ServeNumbers serve_numbers() {
     return numbers;
 }
 
+/// Mean wall time of one `epa.absint_prefilter` span — one scenario's
+/// static prefilter, verdict extraction included — in warm daemon-style
+/// requests on watertank and reactor (horizon 6, single faults): the
+/// in-process counterpart of e2ebench's `epa.prefilter_us_per_eval`. One
+/// traced request per bundle per round, pooled over both; best of five
+/// rounds.
+double prefilter_us_per_eval() {
+    const std::vector<std::string> bundles = {
+        std::string(CPRISK_SOURCE_DIR) + "/examples/models/watertank.cpm",
+        std::string(CPRISK_SOURCE_DIR) + "/examples/models/reactor.cpm"};
+    core::AssessmentConfig config;
+    config.horizon = 6;
+    config.max_simultaneous_faults = 1;
+    serve::ModelCache cache(bundles.size(), 0, nullptr);
+    for (const std::string& path : bundles) (void)request_seconds(cache, path, config);
+
+    double best = 0.0;
+    for (int round = 0; round < 5; ++round) {
+        double total_us = 0.0;
+        std::size_t spans = 0;
+        for (const std::string& path : bundles) {
+            auto model = cache.acquire(path);
+            if (!model.ok()) return 0.0;
+            obs::ChromeTraceSink sink;
+            RunContext ctx;
+            ctx.base_cache = &model.value()->bases;
+            ctx.trace = &sink;
+            auto report = model.value()->assessment->run(config, ctx);
+            if (!report.ok()) return 0.0;
+            for (const obs::TraceEvent& event : sink.drain_ordered()) {
+                if (event.name != "epa.absint_prefilter") continue;
+                total_us += static_cast<double>(event.duration_us);
+                ++spans;
+            }
+        }
+        const double mean = spans > 0 ? total_us / static_cast<double>(spans) : 0.0;
+        if (round == 0 || mean < best) best = mean;
+    }
+    return best;
+}
+
 // --- Anytime priors: coverage at a 50% evaluation budget -------------------
 
 struct PriorNumbers {
@@ -594,6 +636,7 @@ void write_sweep_json() {
     const double jobs8 = sweep_seconds(true, 8);
     const double obs_overhead = null_obs_overhead();
     const double static_fraction = static_resolution_fraction();
+    const double prefilter_us = prefilter_us_per_eval();
     const CdclNumbers cdcl = cdcl_numbers();
     const ServeNumbers serve = serve_numbers();
     const double warm_speedup = serve.warm_s > 0.0 ? serve.cold_s / serve.warm_s : 0.0;
@@ -625,7 +668,10 @@ void write_sweep_json() {
                  "    \"prefilter_on_jobs1_s\": %.6f,\n"
                  "    \"prefilter_off_jobs1_s\": %.6f,\n"
                  "    \"speedup\": %.2f,\n"
-                 "    \"static_fraction\": %.4f\n"
+                 "    \"static_fraction\": %.4f,\n"
+                 "    \"prefilter_workload\": \"watertank.cpm + reactor.cpm, warm requests, "
+                 "horizon 6, single-fault\",\n"
+                 "    \"prefilter_us_per_eval\": %.1f\n"
                  "  },\n"
                  "  \"cdcl\": {\n"
                  "    \"workload\": \"chain(8) + choice-gated loop bank, behavioural "
@@ -669,7 +715,7 @@ void write_sweep_json() {
                  "}\n",
                  seed, cache_only, jobs2, jobs4, jobs8, seed / cache_only, seed / jobs8,
                  obs_overhead, cache_only, no_prefilter, no_prefilter / cache_only,
-                 static_fraction, cdcl.cdcl_s, cdcl.learned,
+                 static_fraction, prefilter_us, cdcl.cdcl_s, cdcl.learned,
                  cdcl.reused, cdcl.static_fraction, cdcl.verdicts_match ? "true" : "false",
                  frontier.monotone ? "monotone" : "mixed", frontier.candidates,
                  frontier.evaluated, frontier.pruned, frontier.minimal, frontier.seconds,
@@ -679,13 +725,14 @@ void write_sweep_json() {
                  serve.misses, serve.hits);
     std::fclose(out);
     std::printf("BENCH_epa.json: ground-once alone %.2fx, jobs=8 vs seed %.2fx, "
-                "null-obs overhead %.4fx, prefilter %.2fx (static fraction %.2f), "
+                "null-obs overhead %.4fx, prefilter %.2fx (static fraction %.2f, "
+                "%.1f us per bundle evaluation), "
                 "warm cdcl %.4fs (%zu reused propagations, verdicts %s), "
                 "frontier pruning %.0fx (%zu/%zu), priority coverage %.2fx at half "
                 "budget, serve warm hit %.2fx "
                 "(%zu evictions, %zu hits under a 1-model cap)\n",
                 seed / cache_only, seed / jobs8, obs_overhead, no_prefilter / cache_only,
-                static_fraction, cdcl.cdcl_s, cdcl.reused,
+                static_fraction, prefilter_us, cdcl.cdcl_s, cdcl.reused,
                 cdcl.verdicts_match ? "match" : "MISMATCH", pruning_ratio,
                 frontier.candidates, frontier.evaluated, priors.ratio, warm_speedup,
                 serve.evictions, serve.hits);

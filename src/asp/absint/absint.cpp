@@ -1,8 +1,11 @@
 #include "asp/absint/absint.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <string>
+
+#include "common/error.hpp"
 
 namespace cprisk::asp::absint {
 
@@ -22,12 +25,106 @@ bool compare_values(long long lhs, CompareOp op, long long rhs) {
     return false;
 }
 
+/// Groups (key, value) pairs by key into CSR arrays; values keep their
+/// input order within each key.
+void group(std::size_t keys, const std::vector<std::pair<int, int>>& pairs,
+           std::vector<int>& begin, std::vector<int>& values) {
+    begin.assign(keys + 1, 0);
+    for (const auto& [key, value] : pairs) ++begin[static_cast<std::size_t>(key) + 1];
+    for (std::size_t k = 0; k < keys; ++k) begin[k + 1] += begin[k];
+    values.resize(pairs.size());
+    std::vector<int> cursor(begin.begin(), begin.end() - 1);
+    for (const auto& [key, value] : pairs) {
+        values[static_cast<std::size_t>(cursor[static_cast<std::size_t>(key)]++)] = value;
+    }
+}
+
+/// Iterative Tarjan over atoms; successors of `a` are the heads of every
+/// rule `a` occurs in the body of (`feeds`). Returns each atom's component
+/// in emission order — reverse topological order, sinks first — and sets
+/// `count` to the number of components.
+std::vector<int> tarjan(const Plan& plan, const std::vector<int>& feed_begin,
+                        const std::vector<int>& feeds, std::size_t& count) {
+    const std::size_t n = plan.atoms;
+    constexpr int kUnvisited = -1;
+    std::vector<int> index(n, kUnvisited);
+    std::vector<int> lowlink(n, 0);
+    std::vector<char> on_stack(n, 0);
+    std::vector<int> stack;
+    std::vector<int> comp_of(n, -1);
+    count = 0;
+    int next_index = 0;
+
+    struct Frame {
+        int atom;
+        int feed_pos;      // position in feeds of that atom
+        int head_pos = 0;  // position in the heads of that rule
+    };
+    std::vector<Frame> frames;
+    const auto enter = [&](int atom) {
+        const std::size_t a = static_cast<std::size_t>(atom);
+        index[a] = lowlink[a] = next_index++;
+        stack.push_back(atom);
+        on_stack[a] = 1;
+        frames.push_back(Frame{atom, feed_begin[a]});
+    };
+
+    for (std::size_t root = 0; root < n; ++root) {
+        if (index[root] != kUnvisited) continue;
+        enter(static_cast<int>(root));
+        while (!frames.empty()) {
+            Frame& frame = frames.back();
+            const std::size_t a = static_cast<std::size_t>(frame.atom);
+            int successor = -1;
+            while (frame.feed_pos < feed_begin[a + 1]) {
+                const std::size_t r =
+                    static_cast<std::size_t>(feeds[static_cast<std::size_t>(frame.feed_pos)]);
+                const int head = plan.head_begin[r] + frame.head_pos;
+                if (head < plan.head_begin[r + 1]) {
+                    successor = plan.heads[static_cast<std::size_t>(head)];
+                    ++frame.head_pos;
+                    break;
+                }
+                ++frame.feed_pos;
+                frame.head_pos = 0;
+            }
+            if (successor >= 0) {
+                const std::size_t s = static_cast<std::size_t>(successor);
+                if (index[s] == kUnvisited) {
+                    enter(successor);
+                } else if (on_stack[s] != 0) {
+                    lowlink[a] = std::min(lowlink[a], index[s]);
+                }
+                continue;
+            }
+            // Atom exhausted: close the frame.
+            const int atom = frame.atom;
+            frames.pop_back();
+            if (!frames.empty()) {
+                const std::size_t parent = static_cast<std::size_t>(frames.back().atom);
+                lowlink[parent] = std::min(lowlink[parent], lowlink[atom]);
+            }
+            if (lowlink[atom] == index[atom]) {
+                while (true) {
+                    const int member = stack.back();
+                    stack.pop_back();
+                    on_stack[static_cast<std::size_t>(member)] = 0;
+                    comp_of[static_cast<std::size_t>(member)] = static_cast<int>(count);
+                    if (member == atom) break;
+                }
+                ++count;
+            }
+        }
+    }
+    return comp_of;
+}
+
 /// The well-founded alternating fixpoint, evaluated per SCC of the ground
-/// atom dependency graph in topological order.
+/// atom dependency graph in the plan's topological order.
 class Evaluator {
 public:
-    Evaluator(const GroundProgram& program, const AbsintOptions& options)
-        : program_(program), options_(options), n_(program.atom_count()) {}
+    Evaluator(const Plan& plan, const AbsintOptions& options)
+        : plan_(plan), options_(options), n_(plan.atoms) {}
 
     Analysis run() {
         Analysis out;
@@ -38,16 +135,14 @@ public:
             return out;
         }
 
-        build_graph();
         // An atom no rule can derive is false unless pinned.
         for (std::size_t a = 0; a < n_; ++a) {
-            if (derivable_[a] == 0 && pin_[a] == 0) poss_[a] = 0;
+            if (plan_.derivable[a] == 0 && pin_[a] == 0) poss_[a] = 0;
         }
-        compute_components();
-        // Reverse emission order = topological order of the condensation
-        // (sources first), so every body atom is final when its rule runs.
-        for (std::size_t c = components_.size(); c-- > 0;) {
-            solve_component(static_cast<int>(c));
+        // Every body atom is final when its rule runs.
+        const std::size_t components = plan_.comp_begin.size() - 1;
+        for (std::size_t c = 0; c < components; ++c) {
+            solve_component(c);
             if (tripped_) break;
         }
         flush_charges();  // account the tail below one kChargeBatch stride
@@ -67,9 +162,9 @@ public:
 
         // A must-firing rule whose head stayed out of the must set can only
         // mean a pinned-false head: the pins contradict the program.
-        for (const GroundRule& rule : program_.rules()) {
-            if (rule.kind != GroundRule::Kind::Normal) continue;
-            if (body_must(rule) && must_[static_cast<std::size_t>(rule.head)] == 0) {
+        for (std::size_t r = 0; r < plan_.rules; ++r) {
+            if (plan_.kind[r] != GroundRule::Kind::Normal) continue;
+            if (body_must(r) && must_[head_of(r)] == 0) {
                 out.conflict = true;
                 break;
             }
@@ -93,7 +188,7 @@ private:
                 return false;
             }
             const std::size_t a = static_cast<std::size_t>(atom);
-            const std::int8_t wanted = truth ? 1 : -1;
+            const std::int16_t wanted = truth ? 1 : -1;
             if (pin_[a] != 0 && pin_[a] != wanted) {
                 out.conflict = true;
                 return false;
@@ -103,119 +198,6 @@ private:
             poss_[a] = truth ? 1 : 0;
         }
         return true;
-    }
-
-    void build_graph() {
-        const auto& rules = program_.rules();
-        heads_.assign(rules.size(), {});
-        feeds_.assign(n_, {});
-        derivable_.assign(n_, 0);
-        for (std::size_t r = 0; r < rules.size(); ++r) {
-            const GroundRule& rule = rules[r];
-            if (rule.kind == GroundRule::Kind::Normal) {
-                heads_[r].push_back(rule.head);
-            } else if (rule.kind == GroundRule::Kind::Choice) {
-                heads_[r] = rule.choice_heads;
-            }
-            if (heads_[r].empty()) continue;  // constraints derive nothing
-            for (int h : heads_[r]) derivable_[static_cast<std::size_t>(h)] = 1;
-            for (int b : rule.positive_body) feeds_[static_cast<std::size_t>(b)].push_back(r);
-            for (int b : rule.negative_body) feeds_[static_cast<std::size_t>(b)].push_back(r);
-        }
-    }
-
-    /// Iterative Tarjan over atoms; successors of `a` are the heads of every
-    /// rule `a` feeds. Components land in `components_` in reverse
-    /// topological order (sinks first), exactly as the recursive version
-    /// emits them.
-    void compute_components() {
-        constexpr int kUnvisited = -1;
-        std::vector<int> index(n_, kUnvisited);
-        std::vector<int> lowlink(n_, 0);
-        std::vector<char> on_stack(n_, 0);
-        std::vector<int> stack;
-        comp_of_.assign(n_, -1);
-        components_.clear();
-        int next_index = 0;
-
-        struct Frame {
-            int atom;
-            std::size_t rule_pos = 0;  // position in feeds_[atom]
-            std::size_t head_pos = 0;  // position in heads_ of that rule
-        };
-        std::vector<Frame> frames;
-
-        for (std::size_t root = 0; root < n_; ++root) {
-            if (index[root] != kUnvisited) continue;
-            frames.push_back(Frame{static_cast<int>(root)});
-            index[root] = lowlink[root] = next_index++;
-            stack.push_back(static_cast<int>(root));
-            on_stack[root] = 1;
-
-            while (!frames.empty()) {
-                Frame& frame = frames.back();
-                const std::size_t a = static_cast<std::size_t>(frame.atom);
-                int successor = -1;
-                while (frame.rule_pos < feeds_[a].size()) {
-                    const auto& rule_heads = heads_[feeds_[a][frame.rule_pos]];
-                    if (frame.head_pos < rule_heads.size()) {
-                        successor = rule_heads[frame.head_pos++];
-                        break;
-                    }
-                    ++frame.rule_pos;
-                    frame.head_pos = 0;
-                }
-                if (successor >= 0) {
-                    const std::size_t s = static_cast<std::size_t>(successor);
-                    if (index[s] == kUnvisited) {
-                        index[s] = lowlink[s] = next_index++;
-                        stack.push_back(successor);
-                        on_stack[s] = 1;
-                        frames.push_back(Frame{successor});
-                    } else if (on_stack[s] != 0) {
-                        lowlink[a] = std::min(lowlink[a], index[s]);
-                    }
-                    continue;
-                }
-                // Atom exhausted: close the frame.
-                const int atom = frame.atom;
-                frames.pop_back();
-                if (!frames.empty()) {
-                    const std::size_t parent =
-                        static_cast<std::size_t>(frames.back().atom);
-                    lowlink[parent] = std::min(lowlink[parent], lowlink[atom]);
-                }
-                if (lowlink[atom] == index[atom]) {
-                    std::vector<int> members;
-                    while (true) {
-                        const int member = stack.back();
-                        stack.pop_back();
-                        on_stack[static_cast<std::size_t>(member)] = 0;
-                        comp_of_[static_cast<std::size_t>(member)] =
-                            static_cast<int>(components_.size());
-                        members.push_back(member);
-                        if (member == atom) break;
-                    }
-                    components_.push_back(std::move(members));
-                }
-            }
-        }
-
-        // Rules grouped by the components their heads live in (a choice rule
-        // can span several).
-        comp_rules_.assign(components_.size(), {});
-        for (std::size_t r = 0; r < heads_.size(); ++r) {
-            int last = -1;
-            for (int h : heads_[r]) {
-                const int c = comp_of_[static_cast<std::size_t>(h)];
-                if (c != last) comp_rules_[static_cast<std::size_t>(c)].push_back(r);
-                last = c;
-            }
-        }
-        for (auto& list : comp_rules_) {
-            std::sort(list.begin(), list.end());
-            list.erase(std::unique(list.begin(), list.end()), list.end());
-        }
     }
 
     /// Work units accumulate locally and reach the shared budget in
@@ -240,24 +222,31 @@ private:
         return !tripped_;
     }
 
-    bool body_must(const GroundRule& rule) const {
-        for (int b : rule.positive_body) {
-            if (must_[static_cast<std::size_t>(b)] == 0) return false;
+    std::size_t head_of(std::size_t rule) const {
+        return static_cast<std::size_t>(plan_.heads[static_cast<std::size_t>(
+            plan_.head_begin[rule])]);
+    }
+
+    bool body_must(std::size_t rule) const {
+        const int* lit = plan_.lits.data();
+        for (int i = plan_.lit_begin[rule]; i < plan_.neg_begin[rule]; ++i) {
+            if (must_[static_cast<std::size_t>(lit[i])] == 0) return false;
         }
-        for (int b : rule.negative_body) {
-            if (poss_[static_cast<std::size_t>(b)] != 0) return false;
+        for (int i = plan_.neg_begin[rule]; i < plan_.lit_begin[rule + 1]; ++i) {
+            if (poss_[static_cast<std::size_t>(lit[i])] != 0) return false;
         }
         return true;
     }
 
-    bool body_possible(const GroundRule& rule) const {
-        for (int b : rule.positive_body) {
+    bool body_possible(std::size_t rule) const {
+        const int* lit = plan_.lits.data();
+        for (int i = plan_.lit_begin[rule]; i < plan_.neg_begin[rule]; ++i) {
             // State 2 (reset, not yet re-derived) counts as not-possible —
             // that is exactly what prunes unfounded positive loops.
-            if (poss_[static_cast<std::size_t>(b)] != 1) return false;
+            if (poss_[static_cast<std::size_t>(lit[i])] != 1) return false;
         }
-        for (int b : rule.negative_body) {
-            if (must_[static_cast<std::size_t>(b)] != 0) return false;
+        for (int i = plan_.neg_begin[rule]; i < plan_.lit_begin[rule + 1]; ++i) {
+            if (must_[static_cast<std::size_t>(lit[i])] != 0) return false;
         }
         return true;
     }
@@ -266,11 +255,13 @@ private:
     /// lfp, shrinks) sets of one component until neither moves. Atoms of
     /// earlier (upstream) components are final; spanning choice rules may
     /// list heads in other components — those are never touched here.
-    void solve_component(int comp) {
-        const std::vector<int>& rules = comp_rules_[static_cast<std::size_t>(comp)];
-        if (rules.empty()) return;
+    void solve_component(std::size_t comp) {
+        const int* first = plan_.comp_rules.data() + plan_.comp_begin[comp];
+        const int* last = plan_.comp_rules.data() + plan_.comp_begin[comp + 1];
+        const std::size_t count = static_cast<std::size_t>(last - first);
+        const int* head = plan_.heads.data();
         const auto mine = [&](int atom) {
-            return comp_of_[static_cast<std::size_t>(atom)] == comp;
+            return plan_.comp_of[static_cast<std::size_t>(atom)] == static_cast<int>(comp);
         };
         bool moved = true;
         while (moved) {
@@ -280,13 +271,13 @@ private:
             bool any = true;
             while (any) {
                 any = false;
-                if (!charge(rules.size())) return;
-                for (int r : rules) {
-                    const GroundRule& rule = program_.rules()[static_cast<std::size_t>(r)];
-                    if (rule.kind != GroundRule::Kind::Normal) continue;
-                    const std::size_t h = static_cast<std::size_t>(rule.head);
+                if (!charge(count)) return;
+                for (const int* it = first; it != last; ++it) {
+                    const std::size_t r = static_cast<std::size_t>(*it);
+                    if (plan_.kind[r] != GroundRule::Kind::Normal) continue;
+                    const std::size_t h = head_of(r);
                     if (must_[h] != 0 || pin_[h] != 0) continue;
-                    if (!body_must(rule)) continue;
+                    if (!body_must(r)) continue;
                     must_[h] = 1;
                     poss_[h] = 1;
                     any = true;
@@ -296,10 +287,11 @@ private:
             // Possible pass: recompute from scratch against the grown must
             // set; an atom that loses every potential derivation becomes
             // must-false.
-            for (int r : rules) {
-                for (int h : heads_[static_cast<std::size_t>(r)]) {
-                    const std::size_t ha = static_cast<std::size_t>(h);
-                    if (mine(h) && pin_[ha] == 0 && must_[ha] == 0 && poss_[ha] != 0) {
+            for (const int* it = first; it != last; ++it) {
+                const std::size_t r = static_cast<std::size_t>(*it);
+                for (int i = plan_.head_begin[r]; i < plan_.head_begin[r + 1]; ++i) {
+                    const std::size_t ha = static_cast<std::size_t>(head[i]);
+                    if (mine(head[i]) && pin_[ha] == 0 && must_[ha] == 0 && poss_[ha] != 0) {
                         poss_[ha] = 2;
                     }
                 }
@@ -307,12 +299,12 @@ private:
             any = true;
             while (any) {
                 any = false;
-                if (!charge(rules.size())) return;
-                for (int r : rules) {
-                    const GroundRule& rule = program_.rules()[static_cast<std::size_t>(r)];
-                    if (!body_possible(rule)) continue;
-                    for (int h : heads_[static_cast<std::size_t>(r)]) {
-                        const std::size_t ha = static_cast<std::size_t>(h);
+                if (!charge(count)) return;
+                for (const int* it = first; it != last; ++it) {
+                    const std::size_t r = static_cast<std::size_t>(*it);
+                    if (!body_possible(r)) continue;
+                    for (int i = plan_.head_begin[r]; i < plan_.head_begin[r + 1]; ++i) {
+                        const std::size_t ha = static_cast<std::size_t>(head[i]);
                         if (poss_[ha] == 2) {
                             poss_[ha] = 1;
                             any = true;
@@ -320,9 +312,10 @@ private:
                     }
                 }
             }
-            for (int r : rules) {
-                for (int h : heads_[static_cast<std::size_t>(r)]) {
-                    const std::size_t ha = static_cast<std::size_t>(h);
+            for (const int* it = first; it != last; ++it) {
+                const std::size_t r = static_cast<std::size_t>(*it);
+                for (int i = plan_.head_begin[r]; i < plan_.head_begin[r + 1]; ++i) {
+                    const std::size_t ha = static_cast<std::size_t>(head[i]);
                     if (poss_[ha] == 2) {
                         poss_[ha] = 0;
                         moved = true;
@@ -356,9 +349,12 @@ private:
     /// founded (the reduct's least model reproduces it — the same check as
     /// CdclSolver::stable, including choice self-support).
     bool certify() const {
-        for (const GroundRule& rule : program_.rules()) {
+        const std::vector<GroundRule>& rules = plan_.program->rules();
+        for (int id : plan_.checked) {
+            const std::size_t r = static_cast<std::size_t>(id);
+            if (!body_must(r)) continue;  // total: must == holds
+            const GroundRule& rule = rules[r];
             if (rule.kind == GroundRule::Kind::Constraint) {
-                if (!body_must(rule)) continue;  // total: must == holds
                 bool fires = true;
                 for (const GroundAggregate& aggregate : rule.aggregates) {
                     if (!aggregate_holds(aggregate)) {
@@ -367,9 +363,7 @@ private:
                     }
                 }
                 if (fires) return false;  // no answer set; let the solver say so
-            } else if (rule.kind == GroundRule::Kind::Choice &&
-                       (rule.lower_bound || rule.upper_bound)) {
-                if (!body_must(rule)) continue;
+            } else {
                 long long chosen = 0;
                 for (int h : rule.choice_heads) {
                     if (must_[static_cast<std::size_t>(h)] != 0) ++chosen;
@@ -378,45 +372,49 @@ private:
                 if (rule.upper_bound && chosen > *rule.upper_bound) return false;
             }
         }
+        return founded();
+    }
 
-        // Foundedness: least model of the reduct (pinned-true atoms included
-        // only when a rule — notably their choice shell — justifies them).
+    /// Foundedness: the least model of the reduct, by counting each rule's
+    /// underived positive literals and propagating newly derived atoms
+    /// through their occurrence lists — O(rules + literals). Pinned-true
+    /// atoms count only when a rule (notably their choice shell) justifies
+    /// them; a choice rule supports exactly its must-true heads.
+    bool founded() const {
+        const int* lits = plan_.lits.data();
+        const int* heads = plan_.heads.data();
+        const int* occ = plan_.occ.data();
         std::vector<char> derived(n_, 0);
-        bool progressed = true;
-        while (progressed) {
-            progressed = false;
-            for (const GroundRule& rule : program_.rules()) {
-                if (rule.kind == GroundRule::Kind::Constraint) continue;
-                bool neg_ok = true;
-                for (int b : rule.negative_body) {
-                    if (must_[static_cast<std::size_t>(b)] != 0) {
-                        neg_ok = false;
-                        break;
-                    }
+        std::vector<int> missing(plan_.rules, 0);  // underived positive literals
+        std::vector<int> queue;
+        queue.reserve(n_);
+        const auto fire = [&](std::size_t r) {
+            for (int i = plan_.head_begin[r]; i < plan_.head_begin[r + 1]; ++i) {
+                const std::size_t h = static_cast<std::size_t>(heads[i]);
+                if (derived[h] != 0) continue;
+                if (plan_.kind[r] == GroundRule::Kind::Choice && must_[h] == 0) continue;
+                derived[h] = 1;
+                queue.push_back(heads[i]);
+            }
+        };
+        for (std::size_t r = 0; r < plan_.rules; ++r) {
+            if (plan_.head_begin[r] == plan_.head_begin[r + 1]) continue;  // derives nothing
+            bool blocked = false;
+            for (int i = plan_.neg_begin[r]; i < plan_.lit_begin[r + 1]; ++i) {
+                if (must_[static_cast<std::size_t>(lits[i])] != 0) {
+                    blocked = true;
+                    break;
                 }
-                if (!neg_ok) continue;
-                bool pos_ok = true;
-                for (int b : rule.positive_body) {
-                    if (derived[static_cast<std::size_t>(b)] == 0) {
-                        pos_ok = false;
-                        break;
-                    }
-                }
-                if (!pos_ok) continue;
-                if (rule.kind == GroundRule::Kind::Normal) {
-                    if (derived[static_cast<std::size_t>(rule.head)] == 0) {
-                        derived[static_cast<std::size_t>(rule.head)] = 1;
-                        progressed = true;
-                    }
-                } else {
-                    for (int h : rule.choice_heads) {
-                        const std::size_t ha = static_cast<std::size_t>(h);
-                        if (must_[ha] != 0 && derived[ha] == 0) {
-                            derived[ha] = 1;
-                            progressed = true;
-                        }
-                    }
-                }
+            }
+            // A blocked rule never reaches zero: it drops out of the reduct.
+            missing[r] = blocked ? -1 : plan_.neg_begin[r] - plan_.lit_begin[r];
+            if (missing[r] == 0) fire(r);
+        }
+        for (std::size_t next = 0; next < queue.size(); ++next) {
+            const std::size_t a = static_cast<std::size_t>(queue[next]);
+            for (int i = plan_.occ_begin[a]; i < plan_.occ_begin[a + 1]; ++i) {
+                const std::size_t r = static_cast<std::size_t>(occ[i]);
+                if (missing[r] > 0 && --missing[r] == 0) fire(r);
             }
         }
         for (std::size_t a = 0; a < n_; ++a) {
@@ -425,38 +423,152 @@ private:
         return true;
     }
 
-    const GroundProgram& program_;
+    const Plan& plan_;
     const AbsintOptions& options_;
     std::size_t n_;
 
-    std::vector<std::int8_t> pin_;
-    std::vector<char> must_;
+    // 16-bit cells, not char: a store through a char type may alias any
+    // object, so char cells would make the compiler reload the plan's array
+    // pointers and the budget counter after every write in the fixpoint
+    // loops (about 2% of an evaluation, measured as the budget arm's
+    // overhead).
+    std::vector<std::int16_t> pin_;
+    std::vector<std::int16_t> must_;
     /// 0 = must-false, 1 = possible, 2 = transiently reset during the
     /// possible pass of the component currently being solved.
-    std::vector<char> poss_;
+    std::vector<std::int16_t> poss_;
     bool tripped_ = false;
     std::size_t pending_ = 0;  ///< work units not yet flushed to the budget
-
-    std::vector<char> derivable_;          ///< atom has at least one deriving rule
-    std::vector<std::vector<int>> heads_;  ///< rule -> derivable head atoms
-    std::vector<std::vector<int>> feeds_;  ///< atom -> rules it occurs in the body of
-    std::vector<int> comp_of_;
-    std::vector<std::vector<int>> components_;  ///< reverse topological order
-    std::vector<std::vector<int>> comp_rules_;
 };
+
+const std::string kForeignPlan = "absint: plan was compiled for a different ground program";
 
 }  // namespace
 
-Analysis evaluate(const GroundProgram& program, const AbsintOptions& options) {
-    return Evaluator(program, options).run();
+bool Plan::describes(const GroundProgram& other) const {
+    return program == &other && atoms == other.atom_count() &&
+           rules == other.rules().size() && weaks == other.weaks().size();
 }
 
-std::vector<Atom> certified_model(const GroundProgram& program, const Analysis& analysis) {
-    std::vector<Atom> atoms;
-    for (int a = 0; a < static_cast<int>(program.atom_count()); ++a) {
-        if (analysis.must(a) && program.is_shown(a)) atoms.push_back(program.atom(a));
+std::size_t Plan::bytes() const {
+    const auto ints = [](const std::vector<int>& v) { return v.capacity() * sizeof(int); };
+    return kind.capacity() + derivable.capacity() + ints(lit_begin) + ints(neg_begin) +
+           ints(lits) + ints(head_begin) + ints(heads) + ints(occ_begin) + ints(occ) +
+           ints(comp_of) + ints(comp_begin) + ints(comp_rules) + ints(checked) + ints(shown);
+}
+
+Plan compile(const GroundProgram& program) {
+    const std::vector<GroundRule>& rules = program.rules();
+    const std::size_t n = program.atom_count();
+    Plan plan;
+    plan.program = &program;
+    plan.atoms = n;
+    plan.rules = rules.size();
+    plan.weaks = program.weaks().size();
+    plan.kind.reserve(rules.size());
+    plan.lit_begin.reserve(rules.size() + 1);
+    plan.neg_begin.reserve(rules.size());
+    plan.head_begin.reserve(rules.size() + 1);
+    plan.derivable.assign(n, 0);
+
+    std::vector<std::pair<int, int>> occurs;  // (positive body atom, deriving rule)
+    std::vector<std::pair<int, int>> feeds;   // (body atom, deriving rule)
+    for (std::size_t r = 0; r < rules.size(); ++r) {
+        const GroundRule& rule = rules[r];
+        const int id = static_cast<int>(r);
+        plan.kind.push_back(rule.kind);
+        plan.lit_begin.push_back(static_cast<int>(plan.lits.size()));
+        plan.lits.insert(plan.lits.end(), rule.positive_body.begin(), rule.positive_body.end());
+        plan.neg_begin.push_back(static_cast<int>(plan.lits.size()));
+        plan.lits.insert(plan.lits.end(), rule.negative_body.begin(), rule.negative_body.end());
+        plan.head_begin.push_back(static_cast<int>(plan.heads.size()));
+        if (rule.kind == GroundRule::Kind::Normal) {
+            plan.heads.push_back(rule.head);
+        } else if (rule.kind == GroundRule::Kind::Choice) {
+            plan.heads.insert(plan.heads.end(), rule.choice_heads.begin(),
+                              rule.choice_heads.end());
+            if (rule.lower_bound || rule.upper_bound) plan.checked.push_back(id);
+        } else {
+            plan.checked.push_back(id);
+        }
+        if (plan.head_begin.back() == static_cast<int>(plan.heads.size())) continue;
+        for (std::size_t i = static_cast<std::size_t>(plan.head_begin.back());
+             i < plan.heads.size(); ++i) {
+            plan.derivable[static_cast<std::size_t>(plan.heads[i])] = 1;
+        }
+        for (int b : rule.positive_body) {
+            occurs.emplace_back(b, id);
+            feeds.emplace_back(b, id);
+        }
+        for (int b : rule.negative_body) feeds.emplace_back(b, id);
     }
-    std::sort(atoms.begin(), atoms.end());
+    plan.lit_begin.push_back(static_cast<int>(plan.lits.size()));
+    plan.head_begin.push_back(static_cast<int>(plan.heads.size()));
+    group(n, occurs, plan.occ_begin, plan.occ);
+
+    std::vector<int> feed_begin;
+    std::vector<int> feed_rules;
+    group(n, feeds, feed_begin, feed_rules);
+    std::size_t emitted = 0;
+    const std::vector<int> emitted_of = tarjan(plan, feed_begin, feed_rules, emitted);
+
+    // Rules grouped by the components their heads live in (a choice rule
+    // can span several), each list ascending and duplicate-free.
+    std::vector<std::pair<int, int>> owned;  // (emitted component, rule)
+    std::vector<int> last_rule(emitted, -1);
+    for (std::size_t r = 0; r < rules.size(); ++r) {
+        for (int i = plan.head_begin[r]; i < plan.head_begin[r + 1]; ++i) {
+            const std::size_t h = static_cast<std::size_t>(plan.heads[static_cast<std::size_t>(i)]);
+            const std::size_t c = static_cast<std::size_t>(emitted_of[h]);
+            if (last_rule[c] == static_cast<int>(r)) continue;
+            last_rule[c] = static_cast<int>(r);
+            owned.emplace_back(static_cast<int>(c), static_cast<int>(r));
+        }
+    }
+    std::vector<int> owned_begin;
+    std::vector<int> owned_rules;
+    group(emitted, owned, owned_begin, owned_rules);
+
+    // Reverse emission order = topological order of the condensation
+    // (sources first); components without rules have nothing to solve.
+    std::vector<int> scheduled(emitted, -1);
+    plan.comp_begin.push_back(0);
+    for (std::size_t c = emitted; c-- > 0;) {
+        if (owned_begin[c] == owned_begin[c + 1]) continue;
+        scheduled[c] = static_cast<int>(plan.comp_begin.size()) - 1;
+        plan.comp_rules.insert(plan.comp_rules.end(), owned_rules.begin() + owned_begin[c],
+                               owned_rules.begin() + owned_begin[c + 1]);
+        plan.comp_begin.push_back(static_cast<int>(plan.comp_rules.size()));
+    }
+    plan.comp_of.resize(n);
+    for (std::size_t a = 0; a < n; ++a) {
+        plan.comp_of[a] = scheduled[static_cast<std::size_t>(emitted_of[a])];
+    }
+
+    for (int a = 0; a < static_cast<int>(n); ++a) {
+        if (program.is_shown(a)) plan.shown.push_back(a);
+    }
+    std::sort(plan.shown.begin(), plan.shown.end(),
+              [&](int x, int y) { return program.atom(x) < program.atom(y); });
+    return plan;
+}
+
+Analysis evaluate(const GroundProgram& program, const Plan& plan, const AbsintOptions& options) {
+    require(plan.describes(program), kForeignPlan);
+    return Evaluator(plan, options).run();
+}
+
+Analysis evaluate(const GroundProgram& program, const AbsintOptions& options) {
+    return evaluate(program, compile(program), options);
+}
+
+std::vector<Atom> certified_model(const GroundProgram& program, const Plan& plan,
+                                  const Analysis& analysis) {
+    require(plan.describes(program), kForeignPlan);
+    std::vector<Atom> atoms;
+    for (int a : plan.shown) {
+        if (analysis.must(a)) atoms.push_back(program.atom(a));
+    }
     return atoms;
 }
 

@@ -4,8 +4,11 @@
 // (alternating must/possible) fixpoint evaluated bottom-up in the SCC
 // order of the ground atom dependency graph — the ground-level analogue of
 // the predicate-level SCC order that drives the grounder
-// (analysis/dependency_graph.hpp). For every answer set M of the program
-// (restricted to the given pins), the result brackets M:
+// (analysis/dependency_graph.hpp). That graph, its SCC schedule and the
+// show projection do not depend on the pins, so they are compiled once per
+// program into a Plan and shared by every evaluation of it. For every
+// answer set M of the program (restricted to the given pins), the result
+// brackets M:
 //
 //     { a : value(a) = True }  ⊆  M  ⊆  { a : value(a) != False }
 //
@@ -68,12 +71,68 @@ struct Analysis {
     bool possible(int atom) const { return value(atom) != Ternary::False; }
 };
 
-/// Runs the well-founded fixpoint over `program` under `options`.
+/// The pin-independent compiled form of one ground program, in flat CSR
+/// arrays (`*_begin[i]` .. `*_begin[i + 1]` spans the entries of `i`): the
+/// rule and atom graph, the SCC schedule and the show projection, which no
+/// pin configuration changes. Compile it once per program and evaluate every
+/// pin configuration against it; it is immutable, so concurrent evaluations
+/// share one plan without synchronization. It describes the program it was
+/// compiled from and must be rebuilt after that program changes.
+struct Plan {
+    /// Identity of the compiled program: its address plus the table sizes
+    /// evaluate() checks before trusting the arrays below.
+    const GroundProgram* program = nullptr;
+    std::size_t atoms = 0;
+    std::size_t rules = 0;
+    std::size_t weaks = 0;
+
+    std::vector<GroundRule::Kind> kind;  ///< rule -> kind
+    /// Rule bodies: positive literals in [lit_begin[r], neg_begin[r]),
+    /// negative ones in [neg_begin[r], lit_begin[r + 1]).
+    std::vector<int> lit_begin;
+    std::vector<int> neg_begin;
+    std::vector<int> lits;
+    std::vector<int> head_begin;  ///< rule -> the atoms it can derive
+    std::vector<int> heads;
+    /// Atom -> every positive-body occurrence in a rule that derives
+    /// something (one entry per occurrence).
+    std::vector<int> occ_begin;
+    std::vector<int> occ;
+    std::vector<char> derivable;  ///< atom has at least one deriving rule
+    /// Atom -> index of its SCC in the schedule below; -1 when no rule
+    /// derives it.
+    std::vector<int> comp_of;
+    /// SCCs of the atom dependency graph that own rules, in topological
+    /// order (sources first); each lists, ascending, the rules with a head
+    /// in it.
+    std::vector<int> comp_begin;
+    std::vector<int> comp_rules;
+    /// Constraints and bounded choice rules: the rules certification checks.
+    std::vector<int> checked;
+    /// Shown atom ids, sorted by Atom order: the solver's projection.
+    std::vector<int> shown;
+
+    /// True when this plan was compiled from `program` as it is now.
+    bool describes(const GroundProgram& program) const;
+    /// Heap bytes held by the arrays.
+    std::size_t bytes() const;
+};
+
+/// Compiles `program`. O(rules + literals + atoms log atoms).
+Plan compile(const GroundProgram& program);
+
+/// Runs the well-founded fixpoint over `program` under `options`, using
+/// `plan`, which must have been compiled from `program` (require()).
+Analysis evaluate(const GroundProgram& program, const Plan& plan,
+                  const AbsintOptions& options = {});
+
+/// One-shot form: compile(program), then evaluate against it.
 Analysis evaluate(const GroundProgram& program, const AbsintOptions& options = {});
 
 /// The projected (shown, sorted) must-true atoms of a certified analysis —
 /// exactly the answer set the solver would report (solver.cpp projection).
-std::vector<Atom> certified_model(const GroundProgram& program, const Analysis& analysis);
+std::vector<Atom> certified_model(const GroundProgram& program, const Plan& plan,
+                                  const Analysis& analysis);
 
 /// Weak-constraint cost of the certified model: distinct (priority, tuple)
 /// pairs whose body holds counted once — mirrors the solver's model_cost.

@@ -150,6 +150,10 @@ struct GroundedBase {
     /// budget at create()).
     asp::absint::Analysis analysis;
     bool analysis_ok = false;
+    /// Compiled form of the simplified `program`: every scenario prefilter
+    /// evaluates against it instead of rebuilding the atom graph and its
+    /// SCCs per scenario.
+    asp::absint::Plan plan;
     /// Grounded atom id of the `__hazard_probe` guard: a free choice atom
     /// with one constraint `:- violated(R), __hazard_probe.` per grounded
     /// requirement-violation atom. Every regular path pins it false (the
@@ -199,9 +203,10 @@ void GroundedBaseCache::insert(const Key& key, std::shared_ptr<const GroundedBas
 namespace {
 
 /// Rough resident-size estimate of a ground-once base, for the daemon's
-/// approximate memory cap. Counts the dominant vectors (atoms, rule bodies)
-/// at container-overhead granularity; exactness is not the point — the cap
-/// only needs a monotone, stable measure of model size.
+/// approximate memory cap. Counts the dominant vectors (atoms, rule bodies,
+/// the pin-free analysis and the compiled plan) at container-overhead
+/// granularity; exactness is not the point — the cap only needs a
+/// monotone, stable measure of model size.
 std::size_t grounded_base_bytes(const GroundedBase& base) {
     std::size_t bytes = base.program.atom_count() * 96;  // interned atom + id-map node
     for (const asp::GroundRule& rule : base.program.rules()) {
@@ -218,7 +223,8 @@ std::size_t grounded_base_bytes(const GroundedBase& base) {
         }
     }
     bytes += (base.fault_atoms.size() + base.mitigation_atoms.size()) * 96;
-    bytes += base.program.atom_count() / 2;  // ternary analysis bit-pair planes
+    bytes += base.analysis.values.size() * sizeof(asp::absint::Ternary);
+    bytes += base.plan.bytes();
     return bytes;
 }
 
@@ -310,6 +316,7 @@ std::shared_ptr<const GroundedBase> try_ground_base(const model::SystemModel& mo
         obs::add_counter(options.metrics_sink(), "epa.absint.atoms_decided",
                          stats.atoms_decided);
     }
+    base->plan = asp::absint::compile(base->program);
     for (const Mutation& mutation : fault_domain) {
         const int id = base->program.find(Atom{
             "scenario_fault",
@@ -533,14 +540,15 @@ Result<ScenarioVerdict> ErrorPropagationAnalysis::evaluate_once(
             asp::absint::AbsintOptions absint_options;
             absint_options.pins = &*assumptions;
             absint_options.budget = options_.effective_budget();
+            const GroundedBase& base = *grounded_base_;
             const auto analysis =
-                asp::absint::evaluate(grounded_base_->program, absint_options);
+                asp::absint::evaluate(base.program, base.plan, absint_options);
             if (analysis.certified) {
                 asp::SolveResult synthesized;
                 synthesized.satisfiable = true;
                 asp::AnswerSet model;
-                model.atoms = asp::absint::certified_model(grounded_base_->program, analysis);
-                model.cost = asp::absint::certified_cost(grounded_base_->program, analysis);
+                model.atoms = asp::absint::certified_model(base.program, base.plan, analysis);
+                model.cost = asp::absint::certified_cost(base.program, analysis);
                 synthesized.best_cost = model.cost;
                 synthesized.models.push_back(std::move(model));
                 verdict.provenance = VerdictProvenance::Static;
@@ -647,20 +655,18 @@ Result<ScenarioVerdict> ErrorPropagationAnalysis::finish_verdict(
     std::set<std::pair<int, ComponentId>> propagation;
     std::set<Mutation> injected;
     for (const asp::AnswerSet& model : result.models) {
-        for (const Atom& atom : model.with_predicate("violated")) {
-            if (atom.args.size() == 1 && atom.args[0].is_symbol()) {
-                violations.insert(atom.args[0].name());
-            }
-        }
-        for (const Atom& atom : model.with_predicate("error")) {
-            if (atom.args.size() == 2 && atom.args[0].is_symbol() && atom.args[1].is_integer()) {
-                propagation.insert({static_cast<int>(atom.args[1].as_int()),
-                                    atom.args[0].name()});
-            }
-        }
-        for (const Atom& atom : model.with_predicate("injected_fault")) {
-            if (atom.args.size() == 2 && atom.args[0].is_symbol() && atom.args[1].is_symbol()) {
-                injected.insert(Mutation{atom.args[0].name(), atom.args[1].name()});
+        for (const Atom& atom : model.atoms) {
+            const auto& args = atom.args;
+            if (atom.predicate == "violated") {
+                if (args.size() == 1 && args[0].is_symbol()) violations.insert(args[0].name());
+            } else if (atom.predicate == "error") {
+                if (args.size() == 2 && args[0].is_symbol() && args[1].is_integer()) {
+                    propagation.insert({static_cast<int>(args[1].as_int()), args[0].name()});
+                }
+            } else if (atom.predicate == "injected_fault") {
+                if (args.size() == 2 && args[0].is_symbol() && args[1].is_symbol()) {
+                    injected.insert(Mutation{args[0].name(), args[1].name()});
+                }
             }
         }
     }
@@ -773,7 +779,8 @@ ErrorPropagationAnalysis::certify_monotonicity(
     asp::absint::AbsintOptions absint_options;
     absint_options.pins = &pins;
     absint_options.budget = options_.effective_budget();
-    const asp::absint::Analysis analysis = asp::absint::evaluate(base.program, absint_options);
+    const asp::absint::Analysis analysis =
+        asp::absint::evaluate(base.program, base.plan, absint_options);
     if (analysis.conflict || analysis.interrupted) return std::nullopt;
 
     std::vector<int> inputs;
